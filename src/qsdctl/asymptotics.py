@@ -11,16 +11,10 @@ Three independent routes cross-check each other here:
 * the scaling limit (lam - beta) * v_beta(x) -> pi(f) eta(x), with
   (pi, eta) the stationary profile pair of a rate-extremal control,
   checked on a geometric ladder of discounts.
-
-Enumeration sweeps can run on a thread pool; QSDCTL_THREADS caps the
-worker count and results are assembled in enumeration order, so the
-output is independent of scheduling.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +29,7 @@ from .simulate import (HistoryPolicy, MonteCarloEstimate, SimConfig,
                        discounted_survival_integral, simulate_thinning)
 
 __all__ = [
-    "RATE_TOL", "worker_count", "EnumerationResult",
+    "RATE_TOL", "EnumerationResult",
     "brute_force_control_opt", "brute_force_value_opt", "ContinuationStep",
     "RateOptimum", "optimize_extinction_rate", "LimitCheck",
     "limit_theorem_check", "SpotCheck", "corollary_spot_check",
@@ -44,31 +38,9 @@ __all__ = [
 RATE_TOL = 1e-8
 
 
-def worker_count(tasks: int) -> int:
-    """Worker cap for enumeration sweeps: QSDCTL_THREADS when set, else
-    single threaded.  Never more workers than tasks."""
-    raw = os.environ.get("QSDCTL_THREADS", "1")
-    try:
-        w = int(raw)
-    except ValueError:
-        raise ModelError(
-            f"QSDCTL_THREADS must be an integer, got {raw!r}") from None
-    return max(1, min(w, max(tasks, 1)))
-
-
 def _check_objective(objective: str):
     if objective not in ("max", "min"):
         raise ModelError(f"objective must be 'max' or 'min', got {objective!r}")
-
-
-def _indexed_map(fn, items):
-    """Map fn over items, assembling results in item order; threads only
-    when QSDCTL_THREADS asks for them."""
-    w = worker_count(len(items))
-    if w == 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=w) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,10 +66,8 @@ def brute_force_control_opt(model: ModelSpec, objective: str = "max",
     level = model.level if level is None else int(level)
     controls = list(enumerate_markov_controls(model, level, cap))
 
-    def lam_of(c: MarkovControl) -> float:
-        return solve_qsd(build_generator(model, c, level), tol=tol).lam
-
-    lams = np.array(_indexed_map(lam_of, controls))
+    lams = np.array([solve_qsd(build_generator(model, c, level), tol=tol).lam
+                     for c in controls])
     best = int(np.argmax(lams)) if objective == "max" else int(np.argmin(lams))
     return EnumerationResult(
         objective, float(lams[best]), controls[best], len(controls),
@@ -129,7 +99,7 @@ def brute_force_value_opt(model: ModelSpec, beta: float, mode: str,
         except InfeasibleBetaError:
             return None
 
-    values = _indexed_map(value_of, controls)
+    values = [value_of(c) for c in controls]
     if mode == "max" and any(v is None for v in values):
         bad = controls[[i for i, v in enumerate(values) if v is None][0]]
         raise InfeasibleBetaError(

@@ -50,6 +50,40 @@ class TruncatedGenerator:
         return 1.01 * r if r > 0 else 1.0
 
 
+def _control_rates(model: ModelSpec, control: MarkovControl, level: int,
+                   roles: tuple[str, ...]):
+    """Rates on 0..level under a stationary control: the action at each
+    state 1..level, and one row per role ("birth", "death", "cost")
+    with state 0 clamped to zero.  Each action's formula is evaluated
+    only at the states that use it; states above the control's range
+    reuse its top action."""
+    xs = np.arange(1, level + 1)
+    actions = np.asarray(control.assignment)[np.minimum(xs, control.level) - 1]
+    rates = np.zeros((len(roles), level + 1))
+    for a in set(control.assignment[:level]):
+        at = actions == a
+        for row, role in zip(rates, roles):
+            row[1:][at] = model._vector(getattr(model, role), role, a, xs[at])
+    return actions, rates
+
+
+def _jump_table(birth: np.ndarray, death: np.ndarray, pmf: np.ndarray,
+                level: int):
+    """Every jump out of the living states 1..n, n = len(birth) <= level.
+
+    Row x-1 of targets is (x-1, min(x+1, level), ..., min(x+k_max,
+    level)) and the same row of rates is (d(x), b(x) p_1, ..., b(x)
+    p_k_max): a death, then a birth of each progeny size, lumped onto
+    the level when it would land above it.  pmf is one progeny law of
+    shape (k_max,) or one per state, (n, k_max).
+    """
+    steps = np.arange(pmf.shape[-1] + 1)
+    steps[0] = -1
+    targets = np.minimum(np.arange(1, len(birth) + 1)[:, None] + steps, level)
+    rates = np.concatenate((death[:, None], birth[:, None] * pmf), axis=1)
+    return targets, rates
+
+
 def build_generator(model: ModelSpec, control: MarkovControl,
                     level: int | None = None) -> TruncatedGenerator:
     """Assemble the generator at the given truncation level under a
@@ -65,20 +99,17 @@ def build_generator(model: ModelSpec, control: MarkovControl,
             f"control covers states 1..{control.level}, need 1..{n}")
     control.check(model.num_actions)
 
-    q = np.zeros((n + 1, n + 1))
-    k_max = model.progeny.k_max
-    for x in range(1, n + 1):
-        a = control.action_at(x)
-        b = model.birth_rate(x, a)
-        d = model.death_rate(x, a)
-        q[x, x - 1] += d
-        if b > 0:
-            pk = model.progeny.pmf(a)
-            for k in range(1, k_max + 1):
-                y = min(x + k, n)
-                if y != x:  # a lumped self-loop at N cancels anyway
-                    q[x, y] += b * pk[k - 1]
-        q[x, x] = -q[x].sum()
+    actions, (birth, death) = _control_rates(model, control, n,
+                                             ("birth", "death"))
+    targets, rates = _jump_table(birth[1:], death[1:],
+                                 model.progeny.tables[actions], n)
+    # scatter row by row in table order, summing births lumped together
+    xs = np.arange(1, n + 1)
+    cells = xs[:, None] * (n + 1) + targets
+    q = np.bincount(cells.ravel(), weights=rates.ravel(),
+                    minlength=(n + 1) ** 2).reshape(n + 1, n + 1)
+    q[xs, xs] = 0.0  # a lumped self-loop at N carries no information
+    q[xs, xs] = -q[1:].sum(axis=1)
     return TruncatedGenerator(n, q)
 
 

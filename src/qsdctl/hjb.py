@@ -25,7 +25,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import (InfeasibleBetaError, PolicyIterationError, SolverError)
-from .generator import TruncatedGenerator, build_generator
+from .generator import (TruncatedGenerator, _control_rates, _jump_table,
+                        build_generator)
 from .models import MarkovControl, ModelSpec
 from .qsd import solve_qsd
 
@@ -34,9 +35,6 @@ __all__ = [
     "TransversalityCheck", "evaluate_policy", "improve_policy",
     "policy_iteration", "hjb_residual", "verify_transversality",
 ]
-
-DENSE_CUTOFF = 4096
-
 
 @dataclass(frozen=True)
 class IterationRecord:
@@ -115,43 +113,15 @@ def _solve_refined(a: np.ndarray, rhs: np.ndarray, tol_scale: float
     return x
 
 
-def _solve_richardson(a_active: np.ndarray, beta: float, rhs: np.ndarray,
-                      lam: float, lam_unif: float, tol_scale: float
-                      ) -> np.ndarray:
-    """Residual-correction fallback for levels above the dense cutoff.
-
-    Rewrites (beta I + L) v = rhs as the fixed point
-    v = (Lam P v - rhs) / (Lam - beta) with P the uniformized kernel;
-    the map contracts at rate (Lam - lam)/(Lam - beta) < 1 for
-    beta < lam.
-    """
-    n = a_active.shape[0]
-    p = np.eye(n) + a_active / lam_unif
-    v = np.zeros(n)
-    target = 5e-11 * tol_scale
-    norm_a = abs(beta) + float(np.max(np.abs(a_active).sum(axis=1)))
-    contraction = (lam_unif - lam) / (lam_unif - beta)
-    # iterations to shrink an O(|rhs|) residual below target
-    budget = int(np.log(max(target / (1 + np.max(np.abs(rhs))), 1e-300))
-                 / np.log(max(contraction, 1e-16))) + 50
-    for _ in range(max(budget, 100)):
-        v = (lam_unif * (p @ v) - rhs) / (lam_unif - beta)
-        r = float(np.max(np.abs(beta * v + a_active @ v - rhs)))
-        if r <= max(target, _residual_floor(norm_a, v)):
-            return v
-    raise SolverError(
-        f"residual correction stalled at residual {r:.3e}")
-
-
 def evaluate_policy(gen: TruncatedGenerator, cost: np.ndarray, beta: float,
-                    lam: float | None = None,
-                    dense_cutoff: int = DENSE_CUTOFF) -> np.ndarray:
+                    lam: float | None = None) -> np.ndarray:
     """Expected discounted cost until extinction under one policy.
 
     cost is the per-state vector on {0..N} with cost[0] = 0.  Refuses
     with InfeasibleBetaError when beta is not strictly below the
     policy's extinction rate (the integral is infinite there).  The
-    extinction rate is solved on the spot unless passed in.
+    extinction rate is solved on the spot unless passed in.  The value
+    comes from one row-pivoted LU solve with iterative refinement.
     Post: max-norm residual of the linear system <= 1e-10 (1 + |f|),
     up to the double-precision floor eps |A| |v| that dominates when
     beta sits within a hair of the extinction rate.
@@ -172,32 +142,18 @@ def evaluate_policy(gen: TruncatedGenerator, cost: np.ndarray, beta: float,
             f"lam={lam:g} of this policy: the discounted cost is infinite",
             beta=beta, lam=lam)
     a = beta * np.eye(n) + gen.active
-    scale = 1.0 + float(np.max(f))
-    if n <= dense_cutoff:
-        v_sub = _solve_refined(a, -f[1:], scale)
-    else:
-        v_sub = _solve_richardson(gen.active, beta, -f[1:], lam,
-                                  gen.uniformization_rate(), scale)
     v = np.zeros(n + 1)
-    v[1:] = v_sub
+    v[1:] = _solve_refined(a, -f[1:], 1.0 + float(np.max(f)))
     return v
 
 
 def _action_scores(model: ModelSpec, v: np.ndarray, level: int) -> np.ndarray:
-    """scores[a, x-1] = f(x, a) + (L_a v)(x) on the truncated window,
-    with births lumped at the level exactly as in build_generator."""
-    m = model.num_actions
-    k_max = model.progeny.k_max
-    scores = np.empty((m, level))
-    xs = np.arange(1, level + 1)
-    for a in range(m):
+    """scores[a, x-1] = f(x, a) + (L_a v)(x) on the truncated window."""
+    scores = np.empty((model.num_actions, level))
+    for a in range(model.num_actions):
         b, d, f = model.rate_tables(a, level)
-        pk = model.progeny.pmf(a)
-        gen_v = d[1:] * (v[xs - 1] - v[xs])
-        for k in range(1, k_max + 1):
-            y = np.minimum(xs + k, level)
-            gen_v += b[1:] * pk[k - 1] * (v[y] - v[xs])
-        scores[a] = f[1:] + gen_v
+        targets, rates = _jump_table(b[1:], d[1:], model.progeny.pmf(a), level)
+        scores[a] = f[1:] + (rates * (v[targets] - v[1:, None])).sum(axis=1)
     return scores
 
 
@@ -229,10 +185,7 @@ def hjb_residual(model: ModelSpec, v: np.ndarray, beta: float,
 
 def _cost_vector(model: ModelSpec, control: MarkovControl, level: int
                  ) -> np.ndarray:
-    f = np.zeros(level + 1)
-    for x in range(1, level + 1):
-        f[x] = model.cost_rate(x, control.action_at(x))
-    return f
+    return _control_rates(model, control, level, ("cost",))[1][0]
 
 
 def _first_evaluable_constant(model: ModelSpec, beta: float, level: int):
@@ -262,7 +215,8 @@ def policy_iteration(model: ModelSpec, beta: float, mode: str,
     Starts from the all-first-action policy (falling back to the first
     evaluable constant policy), alternates exact evaluation and
     improvement, and stops when the policy repeats.  The exit residual
-    of the optimality equation must come out below tol.  A discount at
+    of the optimality equation must come out below tol plus the
+    double-precision floor eps |beta I + A| |v| of the final policy.  A discount at
     or above the extinction rate of every constant policy, or of an
     iterate along the way, raises InfeasibleBetaError carrying the
     partial trace; in min mode that is strong evidence beta exceeds the
@@ -320,10 +274,12 @@ def policy_iteration(model: ModelSpec, beta: float, mode: str,
             trace=PolicyIterationTrace(tuple(records), "max-iter"))
 
     residual = float(np.max(np.abs(hjb_residual(model, v, beta, mode))))
-    if residual > tol:
+    norm_a = float(np.max(np.abs(beta * np.eye(level) + gen.active).sum(axis=1)))
+    floor = _residual_floor(norm_a, v)
+    if residual > tol + floor:
         raise PolicyIterationError(
             f"stable policy found but optimality residual {residual:.3e} "
-            f"exceeds tol {tol:.3e}",
+            f"exceeds tol {tol:.3e} plus the rounding floor {floor:.3e}",
             trace=PolicyIterationTrace(tuple(records), "policy-stable"))
     # resolvent sup bound: the unit-cost value dominates |v| / |f|
     ones = np.zeros(level + 1)

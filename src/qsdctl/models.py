@@ -261,28 +261,29 @@ class ModelSpec:
 
     # -- vectorized tables ------------------------------------------
     def _vector(self, expr: RateExpr, role: str, action: int,
-                n_max: int) -> np.ndarray:
-        """Evaluate expr on 0..n_max with the state-0 clamp applied."""
-        out = np.zeros(n_max + 1)
-        if n_max >= 1:
-            ns = np.arange(1, n_max + 1, dtype=float)
-            vals = np.asarray(expr.evaluate(self._env(action, ns)), dtype=float)
-            vals = np.broadcast_to(vals, ns.shape)
-            bad = ~np.isfinite(vals) | (vals < 0)
-            if bad.any():
-                i = int(np.argmax(bad))
-                name = self.controls.actions[action].name
-                raise ModelError(
-                    f"{role} rate is {vals[i]!r} at state {i + 1} "
-                    f"under action {name}")
-            out[1:] = vals
-        return out
+                states: np.ndarray) -> np.ndarray:
+        """Evaluate expr at the given living states (all >= 1)."""
+        ns = np.asarray(states, dtype=float)
+        vals = np.asarray(expr.evaluate(self._env(action, ns)), dtype=float)
+        if vals.shape != ns.shape:  # a formula constant in n
+            vals = np.full(ns.shape, vals)
+        bad = ~np.isfinite(vals) | (vals < 0)
+        if bad.any():
+            i = int(np.argmax(bad))
+            name = self.controls.actions[action].name
+            raise ModelError(
+                f"{role} rate is {float(vals[i])!r} at state {int(ns[i])} "
+                f"under action {name}")
+        return vals
 
     def rate_tables(self, action: int, n_max: int):
-        """(birth, death, cost) arrays indexed by state 0..n_max."""
-        return (self._vector(self.birth, "birth", action, n_max),
-                self._vector(self.death, "death", action, n_max),
-                self._vector(self.cost, "cost", action, n_max))
+        """(birth, death, cost) arrays indexed by state 0..n_max, with
+        the state-0 clamp applied."""
+        ns = np.arange(1, n_max + 1)
+        return tuple(
+            np.concatenate(([0.0], self._vector(getattr(self, role), role,
+                                                action, ns)))
+            for role in ("birth", "death", "cost"))
 
     def envelope_tables(self, n_max: int):
         """Declared bounds (b_bar * n, d_bar(n)) indexed by state."""

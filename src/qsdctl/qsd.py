@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ModelError, NonConvergenceError, SolverError, ThresholdNotFoundError
-from .generator import TruncatedGenerator, build_generator
+from .generator import TruncatedGenerator, _jump_table, build_generator
 from .models import MarkovControl, ModelSpec, validate_hypotheses, CLAUSE_DEATH_FLOOR
 
 __all__ = [
@@ -376,17 +376,15 @@ def lyapunov_threshold(model: ModelSpec, lam: float,
         raise ModelError(
             "drift threshold needs the superlinear death floor to hold "
             f"on 1..{n_check}; check failed with witness {floor.witness}")
-    k_max = model.progeny.k_max
-    psi = _psi_values(n_check + k_max, c.epsilon)
+    # no jump from 1..n_check is lumped on a window k_max states wider
+    wide = n_check + model.progeny.k_max
+    psi = _psi_values(wide, c.epsilon)
     worst = np.full(n_check, -np.inf)
     for a in range(model.num_actions):
         b, d, _ = model.rate_tables(a, n_check)
-        pk = model.progeny.pmf(a)
-        xs = np.arange(1, n_check + 1)
-        up = np.zeros(n_check)
-        for k in range(1, k_max + 1):
-            up += pk[k - 1] * (psi[xs + k] - psi[xs])
-        drift = b[1:] * up + d[1:] * (psi[xs - 1] - psi[xs]) + lam * psi[xs]
+        targets, rates = _jump_table(b[1:], d[1:], model.progeny.pmf(a), wide)
+        drift = ((rates * (psi[targets] - psi[1:n_check + 1, None])).sum(axis=1)
+                 + lam * psi[1:n_check + 1])
         worst = np.maximum(worst, drift)
     bad = np.nonzero(worst > 0)[0]
     if bad.size and bad[-1] == n_check - 1:

@@ -32,6 +32,7 @@ import numpy as np
 from .errors import (EnvelopeViolationError, InfiniteVarianceWarning,
                      LowConfidenceWarning, ModelError, SimulationError,
                      ZeroSurvivorsError)
+from .generator import _control_rates, build_generator
 from .models import MarkovControl, ModelSpec
 
 __all__ = [
@@ -68,11 +69,13 @@ class SimConfig:
 @dataclass(frozen=True)
 class Trajectory:
     """A piecewise-constant path: the initial state and the accepted
-    jumps as (time, new state), in strictly increasing time order."""
+    jumps as (time, new state), in strictly increasing time order, up
+    to the time the simulator stopped it (None: at the last jump)."""
 
     initial: int
     jumps: tuple[tuple[float, int], ...]
     terminal: str  # absorbed | horizon-reached | state-cap-reached
+    stop_time: float | None = None
 
     @property
     def final_state(self) -> int:
@@ -201,18 +204,10 @@ class _RateTable:
 def _markov_tables(model: ModelSpec, control: MarkovControl):
     """(birth, death, cost) tables under a stationary control; states
     above the control's range reuse its top action."""
-    def build(role_index):
-        def fill(size):
-            out = np.zeros(size)
-            per_action = {}
-            for x in range(1, size):
-                a = control.action_at(x)
-                if a not in per_action:
-                    per_action[a] = model.rate_tables(a, size - 1)[role_index]
-                out[x] = per_action[a][x]
-            return out
-        return fill
-    return (_RateTable(build(0)), _RateTable(build(1)), _RateTable(build(2)))
+    def table(role):
+        return _RateTable(
+            lambda size: _control_rates(model, control, size - 1, (role,))[1][0])
+    return table("birth"), table("death"), table("cost")
 
 
 def simulate_markov(model: ModelSpec, control: MarkovControl, x0: int,
@@ -227,7 +222,7 @@ def simulate_markov(model: ModelSpec, control: MarkovControl, x0: int,
         raise SimulationError("initial state exceeds the state cap")
     control.check(model.num_actions)
     if x0 == 0:
-        return Trajectory(0, (), TERMINAL_ABSORBED)
+        return Trajectory(0, (), TERMINAL_ABSORBED, 0.0)
     rng = _stream(config.seed, stream_index)
     births, deaths, _ = _tables or _markov_tables(model, control)
     cdfs = {a: model.progeny.cdf(a) for a in set(control.assignment)}
@@ -244,10 +239,10 @@ def simulate_markov(model: ModelSpec, control: MarkovControl, x0: int,
                 raise SimulationError(
                     f"all rates vanish at state {n}: the path is frozen and "
                     "will never absorb")
-            return Trajectory(x0, tuple(jumps), TERMINAL_HORIZON)
+            return Trajectory(x0, tuple(jumps), TERMINAL_HORIZON, horizon)
         t_next = t + rng.exponential(1.0 / total)
         if horizon is not None and t_next > horizon:
-            return Trajectory(x0, tuple(jumps), TERMINAL_HORIZON)
+            return Trajectory(x0, tuple(jumps), TERMINAL_HORIZON, horizon)
         t = t_next
         if b > 0.0 and rng.random() * total < b:
             cdf = cdfs[control.action_at(n)]
@@ -257,9 +252,9 @@ def simulate_markov(model: ModelSpec, control: MarkovControl, x0: int,
             n -= 1
         jumps.append((t, n))
         if n == 0:
-            return Trajectory(x0, tuple(jumps), TERMINAL_ABSORBED)
+            return Trajectory(x0, tuple(jumps), TERMINAL_ABSORBED, t)
         if n > config.state_cap:
-            return Trajectory(x0, tuple(jumps), TERMINAL_CAP)
+            return Trajectory(x0, tuple(jumps), TERMINAL_CAP, t)
 
 
 def simulate_thinning(model: ModelSpec, policy: HistoryPolicy, x0: int,
@@ -277,7 +272,7 @@ def simulate_thinning(model: ModelSpec, policy: HistoryPolicy, x0: int,
     if x0 > config.state_cap:
         raise SimulationError("initial state exceeds the state cap")
     if x0 == 0:
-        return Trajectory(0, (), TERMINAL_ABSORBED)
+        return Trajectory(0, (), TERMINAL_ABSORBED, 0.0)
     rng = _stream(config.seed, stream_index)
     m = model.num_actions
 
@@ -300,10 +295,10 @@ def simulate_thinning(model: ModelSpec, policy: HistoryPolicy, x0: int,
             if horizon is None:
                 raise SimulationError(
                     f"both envelopes vanish at state {n}: the path is frozen")
-            return Trajectory(x0, tuple(jumps), TERMINAL_HORIZON)
+            return Trajectory(x0, tuple(jumps), TERMINAL_HORIZON, horizon)
         t_next = t + rng.exponential(1.0 / total)
         if horizon is not None and t_next > horizon:
-            return Trajectory(x0, tuple(jumps), TERMINAL_HORIZON)
+            return Trajectory(x0, tuple(jumps), TERMINAL_HORIZON, horizon)
         t = t_next
         action = policy.rule(t, History(x0, tuple(jumps)))
         if not 0 <= action < m:
@@ -337,9 +332,9 @@ def simulate_thinning(model: ModelSpec, policy: HistoryPolicy, x0: int,
                 continue
         jumps.append((t, n))
         if n == 0:
-            return Trajectory(x0, tuple(jumps), TERMINAL_ABSORBED)
+            return Trajectory(x0, tuple(jumps), TERMINAL_ABSORBED, t)
         if n > config.state_cap:
-            return Trajectory(x0, tuple(jumps), TERMINAL_CAP)
+            return Trajectory(x0, tuple(jumps), TERMINAL_CAP, t)
 
 
 # ---------------------------------------------------------------------
@@ -407,17 +402,25 @@ def discounted_weight(beta: float, t1: float, t2: float) -> float:
     return math.exp(beta * t1) * math.expm1(beta * (t2 - t1)) / beta
 
 
-def discounted_survival_integral(traj: Trajectory, beta: float) -> float:
-    """integral exp(beta s) 1{X_s >= 1} ds along one path.  For a path
-    that was stopped while alive this is the integral up to the stop."""
+def _discounted_path_integral(traj: Trajectory, beta: float,
+                              rate: Callable[[int], float]) -> float:
+    """integral exp(beta s) rate(X_s) 1{X_s >= 1} ds along one path up
+    to its stop, in closed form over the constant pieces."""
+    stop = traj.final_time if traj.stop_time is None else traj.stop_time
     t_prev = 0.0
     state = traj.initial
     total = 0.0
-    for t, s in traj.jumps:
+    for t, s in traj.jumps + ((stop, 0),):
         if state >= 1:
-            total += discounted_weight(beta, t_prev, t)
+            total += rate(state) * discounted_weight(beta, t_prev, t)
         t_prev, state = t, s
     return total
+
+
+def discounted_survival_integral(traj: Trajectory, beta: float) -> float:
+    """integral exp(beta s) 1{X_s >= 1} ds along one path.  For a path
+    that was stopped while alive this is the integral up to the stop."""
+    return _discounted_path_integral(traj, beta, lambda _: 1.0)
 
 
 def estimate_cost(model: ModelSpec, control: MarkovControl, x: int,
@@ -433,7 +436,6 @@ def estimate_cost(model: ModelSpec, control: MarkovControl, x: int,
     stays defined pathwise but its variance need not exist).
     """
     if check_discount:
-        from .generator import build_generator
         from .qsd import solve_qsd
         lam = solve_qsd(build_generator(model, control, control.level)).lam
         if not beta < lam:
@@ -448,17 +450,5 @@ def estimate_cost(model: ModelSpec, control: MarkovControl, x: int,
     for i in range(config.samples):
         traj = simulate_markov(model, control, x, run_cfg, stream_index=i,
                                _tables=tables)
-        t_prev = 0.0
-        state = traj.initial
-        total = 0.0
-        for t, s in traj.jumps:
-            if state >= 1:
-                total += costs.get(state) * discounted_weight(beta, t_prev, t)
-            t_prev, state = t, s
-        if traj.terminal != TERMINAL_ABSORBED and state >= 1:
-            # stopped while alive: account the final piece up to the stop
-            if config.horizon is not None:
-                total += costs.get(state) * discounted_weight(
-                    beta, t_prev, config.horizon)
-        values[i] = total
+        values[i] = _discounted_path_integral(traj, beta, costs.get)
     return MonteCarloEstimate.from_values(values)

@@ -5,7 +5,7 @@ from qsdctl import policies
 from qsdctl.asymptotics import (brute_force_control_opt,
                                 brute_force_value_opt, corollary_spot_check,
                                 limit_theorem_check,
-                                optimize_extinction_rate, worker_count)
+                                optimize_extinction_rate)
 from qsdctl.errors import (AllControlsInfeasibleError,
                            ContinuationStalledError, InfeasibleBetaError,
                            ModelError)
@@ -14,28 +14,6 @@ from qsdctl.simulate import SimConfig
 
 CULLING_LAM_MAX = 0.9290248887341586   # all-cull
 CULLING_LAM_MIN = 0.474608065007655    # all-keep
-
-
-class TestWorkerCount:
-    def test_default_single(self, monkeypatch):
-        monkeypatch.delenv("QSDCTL_THREADS", raising=False)
-        assert worker_count(100) == 1
-
-    def test_env_respected_and_capped_by_tasks(self, monkeypatch):
-        monkeypatch.setenv("QSDCTL_THREADS", "4")
-        assert worker_count(100) == 4
-        assert worker_count(2) == 2
-
-    def test_nonpositive_clamped(self, monkeypatch):
-        monkeypatch.setenv("QSDCTL_THREADS", "0")
-        assert worker_count(10) == 1
-        monkeypatch.setenv("QSDCTL_THREADS", "-3")
-        assert worker_count(10) == 1
-
-    def test_garbage_rejected(self, monkeypatch):
-        monkeypatch.setenv("QSDCTL_THREADS", "many")
-        with pytest.raises(ModelError, match="QSDCTL_THREADS"):
-            worker_count(10)
 
 
 class TestEnumeration:
@@ -56,14 +34,6 @@ class TestEnumeration:
         assert float(res.lams.max()) == res.lam
         # every mixed control sits strictly between the two constants
         assert res.lams.min() == pytest.approx(CULLING_LAM_MIN, abs=1e-9)
-
-    def test_threaded_matches_serial(self, culling, monkeypatch):
-        monkeypatch.delenv("QSDCTL_THREADS", raising=False)
-        serial = brute_force_control_opt(culling, "max", keep_all=True)
-        monkeypatch.setenv("QSDCTL_THREADS", "4")
-        threaded = brute_force_control_opt(culling, "max", keep_all=True)
-        np.testing.assert_array_equal(serial.lams, threaded.lams)
-        assert serial.control == threaded.control
 
     def test_objective_validated(self, culling):
         with pytest.raises(ModelError):

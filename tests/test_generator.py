@@ -7,6 +7,7 @@ from qsdctl.errors import CapExceededError, ModelError
 from qsdctl.expressions import parse_rate_expression as rx
 from qsdctl.generator import (adjoint, build_generator,
                               enumerate_markov_controls)
+from qsdctl.hjb import hjb_residual, policy_iteration
 from qsdctl.models import (Action, ControlSet, HypothesisConstants,
                            MarkovControl, ModelSpec, ProgenyDist)
 
@@ -120,14 +121,17 @@ class TestEnumeration:
 
 # random small models: structural invariants of the generator
 
-@settings(max_examples=60, deadline=None)
-@given(
+RANDOM_MODELS = dict(
     level=st.integers(min_value=1, max_value=9),
     b_coef=st.floats(min_value=0.0, max_value=5.0, allow_nan=False),
     d_pow=st.floats(min_value=1.0, max_value=2.0, allow_nan=False),
     k_max=st.integers(min_value=1, max_value=4),
     seed=st.integers(min_value=0, max_value=2 ** 31),
 )
+
+
+@settings(max_examples=60, deadline=None)
+@given(**RANDOM_MODELS)
 def test_generator_invariants(level, b_coef, d_pow, k_max, seed):
     rng = np.random.default_rng(seed)
     probs = rng.dirichlet(np.ones(k_max))
@@ -151,3 +155,56 @@ def test_generator_invariants(level, b_coef, d_pow, k_max, seed):
         assert q[x, x - 1] >= m.death_rate(x, 0) - 1e-12
     # nothing reaches below the sub-diagonal
     assert np.all(np.tril(q, -2) == 0)
+
+
+def reference_generator(model, control, level):
+    """Per-state assembly: deaths, then births of each size with the
+    ones landing above the level lumped onto it, diagonal last."""
+    q = np.zeros((level + 1, level + 1))
+    for x in range(1, level + 1):
+        a = control.action_at(x)
+        q[x, x - 1] += model.death_rate(x, a)
+        b = model.birth_rate(x, a)
+        for k, p in enumerate(model.progeny.pmf(a), start=1):
+            if min(x + k, level) != x:
+                q[x, min(x + k, level)] += b * p
+        q[x, x] = -q[x].sum()
+    return q
+
+
+@settings(max_examples=60, deadline=None)
+@given(**RANDOM_MODELS, actions=st.integers(min_value=1, max_value=3),
+       mode=st.sampled_from(["min", "max"]))
+def test_generator_matches_reference_under_mixed_controls(
+        level, b_coef, d_pow, k_max, seed, actions, mode):
+    rng = np.random.default_rng(seed)
+    scales = rng.uniform(0.5, 2.0, size=(actions, 3))
+    m = ModelSpec(
+        name="rand",
+        controls=ControlSet(tuple(
+            Action(f"a{i}", {"sb": sb, "sd": sd, "sf": sf})
+            for i, (sb, sd, sf) in enumerate(scales))),
+        birth=rx(f"sb * {b_coef!r} * n"), death=rx(f"sd * n^{d_pow!r}"),
+        cost=rx("sf * n"),
+        progeny=ProgenyDist("table", k_max,
+                            rng.dirichlet(np.ones(k_max), size=actions)),
+        constants=HypothesisConstants(
+            b_bar=max(2 * b_coef, 1e-6), m_bound=float(k_max),
+            d_bar=rx(f"2 * n^{d_pow!r}")),
+        level=level)
+    control = MarkovControl(tuple(rng.integers(0, actions, size=level)))
+    np.testing.assert_allclose(
+        build_generator(m, control, level).matrix,
+        reference_generator(m, control, level), rtol=1e-13, atol=0)
+
+    # the HJB scores use the operator the generator is built from
+    beta = -0.5
+    sol = policy_iteration(m, beta, mode, level=level)
+    q = build_generator(m, sol.policy, level).matrix
+    f = np.array([0.0] + [m.cost_rate(x, sol.policy.action_at(x))
+                          for x in range(1, level + 1)])
+    direct = beta * sol.v[1:] + f[1:] + (q @ sol.v)[1:]
+    eps = np.finfo(float).eps
+    bound = 8 * eps * np.abs(q).sum(axis=1).max() * (1 + np.abs(sol.v).max())
+    np.testing.assert_allclose(hjb_residual(m, sol.v, beta, mode), direct,
+                               rtol=0, atol=bound)

@@ -193,29 +193,49 @@ class TestImprovement:
         assert greedy == sol.policy
 
 
-class TestRichardsonPath:
-    def test_matches_dense(self, culling, geometric, geometric_gen,
-                           geometric_qsd):
+class TestDenseSolve:
+    # evaluate_policy against a plain dense solve of (beta I + A) v = -f
+
+    @staticmethod
+    def reference(gen, f, beta):
+        a = beta * np.eye(gen.level) + gen.active
+        return np.concatenate(([0.0], np.linalg.solve(a, -f[1:])))
+
+    def test_matches_dense(self, culling, geometric_gen, geometric_qsd):
         gen = build_generator(culling, culling.constant_control(1),
                               CULLING_LEVEL)
-        lam = solve_qsd(gen).lam
         f = unit_cost(CULLING_LEVEL)
-        dense = evaluate_policy(gen, f, 0.5, lam=lam)
-        iterative = evaluate_policy(gen, f, 0.5, lam=lam, dense_cutoff=0)
-        np.testing.assert_allclose(iterative, dense, rtol=1e-8, atol=1e-10)
+        v = evaluate_policy(gen, f, 0.5, lam=solve_qsd(gen).lam)
+        np.testing.assert_allclose(v, self.reference(gen, f, 0.5),
+                                   rtol=1e-10, atol=1e-12)
 
         fg = np.zeros(101)
         fg[1:] = np.arange(1, 101, dtype=float)
-        dense = evaluate_policy(geometric_gen, fg, 0.3, lam=geometric_qsd.lam)
-        iterative = evaluate_policy(geometric_gen, fg, 0.3,
-                                    lam=geometric_qsd.lam, dense_cutoff=0)
-        np.testing.assert_allclose(iterative, dense, rtol=1e-7, atol=1e-6)
+        v = evaluate_policy(geometric_gen, fg, 0.3, lam=geometric_qsd.lam)
+        np.testing.assert_allclose(v, self.reference(geometric_gen, fg, 0.3),
+                                   rtol=1e-10, atol=1e-12)
 
-    def test_negative_beta_iterative(self, culling):
+    def test_negative_beta(self, culling):
         gen = build_generator(culling, culling.constant_control(0),
                               CULLING_LEVEL)
-        lam = solve_qsd(gen).lam
         f = unit_cost(CULLING_LEVEL)
-        dense = evaluate_policy(gen, f, -0.8, lam=lam)
-        iterative = evaluate_policy(gen, f, -0.8, lam=lam, dense_cutoff=0)
-        np.testing.assert_allclose(iterative, dense, rtol=1e-8, atol=1e-10)
+        v = evaluate_policy(gen, f, -0.8, lam=solve_qsd(gen).lam)
+        np.testing.assert_allclose(v, self.reference(gen, f, -0.8),
+                                   rtol=1e-10, atol=1e-12)
+
+
+class TestNearFrontier:
+    def test_optimality_residual_within_rounding_floor(self, culling):
+        # beta 1e-4 below the all-keep rate on 30 states: |v| is large
+        # enough that the rounding floor of the residual passes 1e-9
+        level = 30
+        keep = culling.constant_control(0, level)
+        gen = build_generator(culling, keep, level)
+        lam = solve_qsd(gen).lam
+        assert lam == pytest.approx(0.4736000962896174, rel=1e-9)
+        beta = lam - 1e-4
+        sol = policy_iteration(culling, beta, "max", level=level)
+        assert sol.policy == keep
+        f = unit_cost(level)
+        expect = np.linalg.solve(beta * np.eye(level) + gen.active, -f[1:])
+        np.testing.assert_allclose(sol.v[1:], expect, rtol=1e-8)

@@ -136,6 +136,12 @@ class TestModelSpec:
             assert d[x] == m.death_rate(x, 0)
             assert f[x] == m.cost_rate(x, 0)
 
+    def test_rate_error_prints_a_plain_number(self):
+        m = make_model(death="3 * n - 15", d_lower=None, epsilon=None)
+        with pytest.raises(ModelError) as exc:
+            m.rate_tables(0, 10)
+        assert str(exc.value) == "death rate is -12.0 at state 1 under action a"
+
     def test_table_rejects_negative_with_witness(self):
         m = make_model(cost="n - 5")
         with pytest.raises(ModelError, match=r"state 1"):

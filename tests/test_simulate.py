@@ -220,6 +220,32 @@ class TestDiscountedWeight:
             expect, rel=1e-13)
 
 
+class TestStoppedAlive:
+    # a culling path from 3 leaves within 0.05 with probability about
+    # 0.53; stream 0 of seed 5 stays put under both simulators
+    HORIZON = 0.05
+
+    def paths(self, culling):
+        cfg = SimConfig(seed=5, horizon=self.HORIZON)
+        return (simulate_markov(culling, culling.constant_control(0), 3, cfg),
+                simulate_thinning(culling, policies.constant(0), 3, cfg))
+
+    def test_stop_time_recorded(self, culling):
+        for traj in self.paths(culling):
+            assert traj.jumps == ()
+            assert traj.terminal == "horizon-reached"
+            assert traj.stop_time == self.HORIZON
+            assert traj.final_time == 0.0
+
+    @pytest.mark.parametrize("beta", [-0.7, 0.0, 0.4])
+    def test_survival_integral_runs_to_the_stop(self, culling, beta):
+        expect = (math.expm1(self.HORIZON * beta) / beta if beta
+                  else self.HORIZON)
+        for traj in self.paths(culling):
+            assert discounted_survival_integral(traj, beta) == pytest.approx(
+                expect, rel=1e-14)
+
+
 class TestEstimatorEdges:
     def test_zero_survivors(self, pure_death):
         with pytest.raises(ZeroSurvivorsError):
