@@ -28,7 +28,7 @@ from .errors import (InfeasibleBetaError, PolicyIterationError, SolverError)
 from .generator import (TruncatedGenerator, _control_rates, _jump_table,
                         build_generator)
 from .models import MarkovControl, ModelSpec
-from .qsd import solve_qsd
+from .qsd import _residual_floor, solve_qsd
 
 __all__ = [
     "ValueSolution", "PolicyIterationTrace", "IterationRecord",
@@ -75,15 +75,6 @@ class ValueSolution:
     trace: PolicyIterationTrace
     sup_bound: float | None = None
     transversality: TransversalityCheck | None = None
-
-
-def _residual_floor(norm_a: float, x: np.ndarray) -> float:
-    """Smallest residual measurable in double arithmetic: evaluating
-    rhs - A x rounds at eps |A| |x| even for the exact solution, which
-    dominates the fixed tolerance when beta sits close to the
-    extinction rate and |x| blows up like 1/(lam - beta)."""
-    return 8 * float(np.finfo(float).eps) * norm_a * (
-        1.0 + float(np.max(np.abs(x))))
 
 
 def _solve_refined(a: np.ndarray, rhs: np.ndarray, tol_scale: float

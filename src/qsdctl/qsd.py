@@ -11,13 +11,16 @@ exp(-lam t) and the conditional law never moves, while for a fixed
 start x the rescaled survival exp(lam t) P_x(t < tau) converges to
 eta(x).
 
-The solver uniformizes (P = I + L/Lam with Lam just above the largest
-exit rate) and runs plain two-sided power iteration; the returned rate
-is Lam (1 - rho) with rho the two-sided Rayleigh estimate.  No
-deflation or acceleration: the matrices here are small and the simple
-scheme is easy to trust.  Transient solves use the same uniformized
-chain with log-space Poisson weights so stiff models and long horizons
-do not underflow.
+The triple comes from two-sided inverse iteration on M = -L restricted
+to the living states, which converges at the ratio lam_1/lam_2 of the
+two smallest rates whatever the size of the exit rates.  M is factored
+once per solve, without pivoting, into banded factors built only from
+jump and absorption rates (in the manner of Grassmann, Taksar & Heyman,
+Oper. Res. 33(5), 1985), so every solve adds positive terms and pi
+stays accurate entry by entry far into its tail.  Transient solves
+uniformize (P = I + L/Lam with Lam just above the largest exit rate)
+with log-space Poisson weights so stiff models and long horizons do
+not underflow.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
+from scipy.linalg.lapack import dtbtrs
 
 from .errors import ModelError, NonConvergenceError, SolverError, ThresholdNotFoundError
 from .generator import TruncatedGenerator, _jump_table, build_generator
@@ -58,7 +62,11 @@ class QsdSolution:
     pi sums to one, eta is scaled so pi . eta = 1, and lam is the
     absorption rate of the conditioned chain.  The residuals are the
     max-norm defects of the two eigen identities measured on the
-    returned (finally scaled) vectors.
+    returned (finally scaled) vectors; residual_floor is the rounding
+    level 8 eps |A| (1 + |eta|) of those defects, which replaces the
+    solve's tol as their bound when it is the larger.  iterations counts
+    inverse-iteration steps, each one banded solve per side.  Entries
+    of pi below 1e-300 are not resolved and are returned as 0.
     """
 
     level: int
@@ -68,6 +76,7 @@ class QsdSolution:
     residual_left: float
     residual_right: float
     iterations: int
+    residual_floor: float
     reducible_warning: bool = False
 
     def pi_full(self) -> np.ndarray:
@@ -82,80 +91,158 @@ class QsdSolution:
 
 
 def _check_absorbing_reachable(gen: TruncatedGenerator):
-    sub = np.diag(gen.matrix[1:, :-1])  # death rates d(1), ..., d(N)
-    if np.any(sub <= 0):
-        x = int(np.argmax(sub <= 0)) + 1
+    dead = np.diagonal(gen.matrix, -1) <= 0  # death rates d(1), ..., d(N)
+    if dead.any():
+        x = int(np.argmax(dead)) + 1
         raise ModelError(
             f"state {x} has zero death rate: extinction is unreachable "
             "from it, so no quasi-stationary distribution exists")
 
 
-def solve_qsd(gen: TruncatedGenerator, tol: float = 1e-10,
-              max_iter: int = 2_000_000) -> QsdSolution:
-    """Two-sided power iteration on the uniformized living block.
+_EPS = float(np.finfo(float).eps)
+_UNRESOLVED = 1e-300  # entries of pi below this are returned as 0
 
-    Stops once the Rayleigh rate estimate has settled (relative change
-    below tol) and both eigen residuals, measured at the final scaling,
-    are below tol.  Raises NonConvergenceError at max_iter.
+
+def _residual_floor(norm_a: float, x: np.ndarray) -> float:
+    """Smallest residual measurable in double arithmetic: evaluating
+    rhs - A x rounds at eps |A| |x| even for the exact solution, which
+    dominates a fixed tolerance once |A| |x| is large: a wide window
+    (exit rates grow with the state) or a value near the frontier (|x|
+    blows up like 1/(lam - beta))."""
+    return 8 * _EPS * norm_a * (1.0 + float(abs(x).max()))
+
+
+@dataclass(frozen=True, eq=False)
+class _BandedFactor:
+    """M = -A = L U for the living block A, without pivoting.
+
+    L is unit lower bidiagonal and U upper with k_max super-diagonals,
+    both in LAPACK band storage.  The factor is built GTH-style from the
+    off-diagonal rates and the absorption rates only: eliminating state
+    x folds its jumps into state x+1 (the one state that dies into it),
+    every update adds magnitudes, and each pivot is the updated
+    absorption rate plus the magnitudes left in its row.  So L and U
+    carry the sign pattern of M exactly, and each triangular solve with
+    a positive right-hand side is a sum of positive terms, accurate
+    entrywise in relative terms however small the entries get.
+    """
+
+    lower: np.ndarray   # (2, N): row 1 holds L[x+1, x]
+    upper: np.ndarray   # (k_max + 1, N): row k_max holds the pivots
+    norm: float         # max absolute row sum of A
+
+    @classmethod
+    def of(cls, gen: TruncatedGenerator) -> "_BandedFactor":
+        a = gen.active
+        n = a.shape[0]
+        rows, cols = np.nonzero(a)
+        off = cols - rows
+        k = int(off.max())
+        # rest[x]: magnitudes of U[x, x+1..x+k] (index 0 unused), the
+        # birth rates before elimination
+        rest = np.zeros((n, k + 1))
+        for j in range(1, k + 1):
+            rest[:n - j, j] = np.diagonal(a, j)
+        death = np.diagonal(a, -1)
+        absorb = gen.matrix[1:, 0]
+        if off.min() < -1 or rest.min() < 0 or absorb.min() < 0:
+            raise SolverError(
+                "living block is not a birth-death generator with one "
+                "death step and nonnegative rates")
+
+        # Eliminate state by state; Python floats beat numpy calls on
+        # rows this short.  kept is the absorption rate of the updated
+        # row; norm is |A|_inf, a row's exit rate plus its jump rates.
+        rows_left = rest.tolist()
+        kept = float(absorb[0])
+        pivots = [kept + sum(rows_left[0])]
+        mults = []          # L[x, x-1] = -g
+        norm = pivots[0] + sum(rows_left[0])
+        for x, (dx, ax) in enumerate(zip(death.tolist(),
+                                         absorb[1:].tolist()), 1):
+            prev, row = rows_left[x - 1], rows_left[x]
+            norm = max(norm, ax + 2.0 * (dx + sum(row)))
+            g = dx / pivots[-1]
+            for j in range(1, k):
+                row[j] += g * prev[j + 1]
+            kept = ax + g * kept
+            pivots.append(kept + sum(row))
+            mults.append(-g)
+        if not all(0.0 < p < math.inf for p in pivots):
+            raise SolverError(
+                "a pivot of -A under- or overflowed: the absorption rate "
+                "is outside double precision on this window")
+        lower = np.ones((2, n))
+        lower[1, :-1] = mults
+        upper = np.zeros((k + 1, n))
+        upper[k] = pivots
+        rest = np.array(rows_left)
+        for j in range(1, k + 1):
+            upper[k - j, j:] = -rest[:n - j, j]
+        return cls(lower, upper, norm)
+
+    # dtbtrs(ab, b, uplo, trans, diag, overwrite_b), positional: parsing
+    # keywords costs half as much again as a solve on a small window
+    def solve(self, v: np.ndarray) -> np.ndarray:
+        """M^-1 v."""
+        y = dtbtrs(self.lower, v, "L", "N", "U")[0]
+        return dtbtrs(self.upper, y, "U", "N", "N", 1)[0]
+
+    def solve_transposed(self, v: np.ndarray) -> np.ndarray:
+        """M^-T v."""
+        y = dtbtrs(self.upper, v, "U", "T", "N")[0]
+        return dtbtrs(self.lower, y, "L", "T", "U", 1)[0]
+
+
+def solve_qsd(gen: TruncatedGenerator, tol: float = 1e-10,
+              max_iter: int = 10_000) -> QsdSolution:
+    """Two-sided inverse iteration on M = -A, A the living block.
+
+    Each step solves M eta' = eta and M^T pi' = pi against one banded
+    factorization (see _BandedFactor), rescales pi to sum 1 and eta to
+    max 1, and takes lam from the two-sided Rayleigh quotient.  Both
+    iterates stay positive, so nothing is clamped.  Stops once lam has
+    settled (relative change below tol), every entry of eta and every
+    entry of pi above 1e-300 has settled to tol relative, and both eigen
+    residuals, measured at the final scaling pi . eta = 1, are below
+    max(tol, floor) with floor = 8 eps |A| (1 + |eta|) the rounding level
+    of the residual itself (recorded as residual_floor).  Entries of pi
+    below 1e-300 are not resolved and come back as 0.  Raises
+    NonConvergenceError after max_iter steps.
     """
     _check_absorbing_reachable(gen)
-    a = np.ascontiguousarray(gen.active)
-    n = a.shape[0]
-    lam_unif = gen.uniformization_rate()
-    p = np.eye(n) + a / lam_unif
-    pt = np.ascontiguousarray(p.T)
-
-    pi = np.full(n, 1.0 / n)
-    eta = np.ones(n)
-    pi_next = np.empty(n)
-    eta_next = np.empty(n)
-    rho_prev = np.inf
-    check_every = 16
-    iterations = 0
-
-    def residuals(pi_v, eta_v, lam):
-        """Defects of the eigen identities with eta at its final scale."""
-        scale = float(pi_v @ eta_v)
-        if scale <= 0:
-            return np.inf, np.inf, eta_v
-        eta_s = eta_v / scale
-        res_l = float(np.max(np.abs(pi_v @ a + lam * pi_v)))
-        res_r = float(np.max(np.abs(a @ eta_s + lam * eta_s)))
-        return res_l, res_r, eta_s
-
-    while iterations < max_iter:
-        for _ in range(check_every):
-            np.dot(pi, p, out=pi_next)
-            np.dot(p, eta, out=eta_next)
-            s = pi_next.sum()
-            if s <= 0:
-                raise SolverError("left iterate lost all mass")
-            pi_next /= s
-            eta_next /= np.max(np.abs(eta_next))
-            pi, pi_next = pi_next, pi
-            eta, eta_next = eta_next, eta
-        iterations += check_every
-        # two-sided Rayleigh estimate of the Perron root of P
-        denom = float(pi @ eta)
-        rho = float(pi @ (p @ eta)) / denom if denom > 0 else np.nan
-        if not np.isfinite(rho):
-            raise SolverError("rate estimate diverged")
-        lam = lam_unif * (1.0 - rho)
-        settled = abs(rho - rho_prev) <= tol * max(abs(rho), 1e-30)
-        rho_prev = rho
-        if settled:
-            res_l, res_r, eta_s = residuals(pi, eta, lam)
-            if res_l <= tol and res_r <= tol:
-                pi_out = pi.copy()
-                pi_out[np.abs(pi_out) < 1e-300] = 0.0
-                births_present = bool(np.any(np.triu(a, 1) > 0))
-                reducible = births_present and bool(np.any(pi_out == 0.0))
-                return QsdSolution(
-                    level=gen.level, lam=lam, pi=pi_out, eta=eta_s,
-                    residual_left=res_l, residual_right=res_r,
-                    iterations=iterations, reducible_warning=reducible)
+    factor = _BandedFactor.of(gen)
+    a = gen.active
+    pi = np.full(gen.level, 1.0 / gen.level)
+    eta = np.ones(gen.level)
+    lam_prev = math.inf
+    for iterations in range(1, max_iter + 1):
+        eta_next = factor.solve(eta)
+        pi_next = factor.solve_transposed(pi)
+        lam = float(pi_next @ eta) / float(pi_next @ eta_next)
+        pi_next /= pi_next.sum()
+        eta_next /= eta_next.max()
+        settled = (abs(lam - lam_prev) <= tol * lam
+                   and (abs(eta_next - eta) <= tol * eta_next).all()
+                   and ((abs(pi_next - pi) <= tol * pi_next)
+                        | (pi_next <= _UNRESOLVED)).all())
+        pi, eta, lam_prev = pi_next, eta_next, lam
+        if not settled:
+            continue
+        eta_s = eta / float(pi @ eta)
+        res_l = float(abs(pi @ a + lam * pi).max())
+        res_r = float(abs(a @ eta_s + lam * eta_s).max())
+        floor = _residual_floor(factor.norm, eta_s)
+        if max(res_l, res_r) <= max(tol, floor):
+            pi[pi < _UNRESOLVED] = 0.0
+            births = factor.upper.shape[0] > 1
+            return QsdSolution(
+                level=gen.level, lam=lam, pi=pi, eta=eta_s,
+                residual_left=res_l, residual_right=res_r,
+                iterations=iterations, residual_floor=floor,
+                reducible_warning=births and bool((pi == 0.0).any()))
     raise NonConvergenceError(
-        f"power iteration did not reach tol={tol} in {max_iter} iterations")
+        f"inverse iteration did not reach tol={tol} in {max_iter} iterations")
 
 
 # ---------------------------------------------------------------------

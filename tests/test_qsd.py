@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -124,7 +125,35 @@ class TestDefiningRelations:
     def test_iteration_cap(self, culling):
         gen = build_generator(culling, culling.constant_control(0), 6)
         with pytest.raises(NonConvergenceError):
-            solve_qsd(gen, tol=1e-13, max_iter=32)
+            solve_qsd(gen, tol=1e-13, max_iter=2)
+
+
+class TestTailAccuracy:
+    # references from a 60-digit inverse iteration on the same window;
+    # the profile falls by ~280 decades across it
+    @pytest.mark.parametrize("x, ref", [
+        (51, 7.260646e-55), (101, 3.5017584e-134),
+        (151, 1.9407827e-224), (181, 3.4491752e-282)])
+    def test_logistic_far_tail(self, logistic_qsd, x, ref):
+        assert logistic_qsd.pi[x - 1] == pytest.approx(ref, rel=1e-6)
+
+
+class TestWideWindows:
+    # eps |A| |eta| passes the absolute 1e-10 from N ~ 1000 on: the
+    # stop must take the rounding floor instead of running to max_iter
+    @pytest.mark.parametrize("level", [1000, 2000])
+    def test_logistic_converges_fast(self, logistic, level):
+        gen = build_generator(logistic, logistic.constant_control(0, level),
+                              level)
+        start = time.perf_counter()
+        sol = solve_qsd(gen)
+        assert time.perf_counter() - start < 1.0
+        assert max(sol.residual_left, sol.residual_right) <= max(
+            1e-10, sol.residual_floor)
+        assert sol.residual_floor > 1e-10
+        if level == 1000:
+            lam = -float(np.max(scipy.linalg.eigvals(gen.active).real))
+            assert sol.lam == pytest.approx(lam, rel=1e-8)
 
 
 class TestTransient:
@@ -267,3 +296,42 @@ def test_qsd_identities_random_chain(level, seed):
     scale = max(1.0, float(np.max(np.abs(a))))
     assert np.max(np.abs(sol.pi @ a + sol.lam * sol.pi)) <= 1e-10 * scale
     assert np.max(np.abs(a @ sol.eta + sol.lam * sol.eta)) <= 1e-10 * scale
+
+
+# inverse iteration against a dense eigensolve on random multi-action
+# models under mixed controls; births everywhere keep the chain
+# irreducible, so both vectors must come out strictly positive
+
+@settings(max_examples=40, deadline=None)
+@given(
+    level=st.integers(min_value=2, max_value=40),
+    k_max=st.integers(min_value=1, max_value=6),
+    actions=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=2 ** 31),
+)
+def test_matches_dense_eig_under_mixed_controls(level, k_max, actions, seed):
+    rng = np.random.default_rng(seed)
+    b_coef = float(rng.uniform(0.1, 3.0))
+    d_pow = float(rng.uniform(1.0, 2.0))
+    scales = rng.uniform(0.5, 2.0, size=(actions, 2))
+    m = ModelSpec(
+        name="rand",
+        controls=ControlSet(tuple(
+            Action(f"a{i}", {"sb": sb, "sd": sd})
+            for i, (sb, sd) in enumerate(scales))),
+        birth=rx(f"sb * {b_coef!r} * n"), death=rx(f"sd * n^{d_pow!r}"),
+        cost=rx("1"),
+        progeny=ProgenyDist("table", k_max,
+                            rng.dirichlet(np.ones(k_max), size=actions)),
+        constants=HypothesisConstants(
+            b_bar=2 * b_coef, m_bound=float(k_max),
+            d_bar=rx(f"2 * n^{d_pow!r}")),
+        level=level)
+    control = MarkovControl(tuple(rng.integers(0, actions, size=level)))
+    gen = build_generator(m, control, level)
+    sol = solve_qsd(gen)
+    lam, pi, eta = dense_triple(gen.active)
+    assert abs(sol.lam - lam) <= 1e-9 * max(1.0, lam)
+    assert total_variation(sol.pi, pi) <= 1e-8
+    np.testing.assert_allclose(sol.eta, eta, rtol=0, atol=1e-8)
+    assert np.all(sol.pi > 0) and np.all(sol.eta > 0)
