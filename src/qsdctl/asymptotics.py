@@ -198,8 +198,10 @@ def optimize_extinction_rate(model: ModelSpec, objective: str = "max",
             delta = min(2.0 * delta, initial_gap)
             stable = 0
             continue
+        # the last trace record evaluated the final policy; unit cost
+        # leaves its generator, and so its rate, as under the model
         control = sol.policy
-        lam_k = solve_qsd(build_generator(model, control, level)).lam
+        lam_k = sol.trace.records[-1].lam
         if steps and control == steps[-1].control and \
                 abs(lam_k - steps[-1].lam) <= rate_tol:
             stable += 1

@@ -8,7 +8,9 @@ the truncated chain solves the linear system
 
 solvable exactly when beta is below the control's extinction rate
 (otherwise the integral is infinite and we refuse).  Positive and
-negative beta are both fine.
+negative beta are both fine.  Below the rate -(beta I + L_alpha) is a
+nonsingular M-matrix, and the value comes from its unpivoted banded
+LU, the factor solve_qsd uses at shift 0 (qsd._BandedFactor).
 
 policy_iteration runs Howard's scheme: evaluate, then at every state
 pick the action optimizing f + L v (ties to the lowest action index),
@@ -22,13 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (InfeasibleBetaError, PolicyIterationError, SolverError)
 from .generator import (TruncatedGenerator, _control_rates, _jump_table,
                         build_generator)
 from .models import MarkovControl, ModelSpec
-from .qsd import _residual_floor, solve_qsd
+from .qsd import _BandedFactor, _residual_floor, solve_qsd
 
 __all__ = [
     "ValueSolution", "PolicyIterationTrace", "IterationRecord",
@@ -77,33 +78,6 @@ class ValueSolution:
     transversality: TransversalityCheck | None = None
 
 
-def _solve_refined(a: np.ndarray, rhs: np.ndarray, tol_scale: float
-                   ) -> np.ndarray:
-    """Row-pivoted direct solve with iterative refinement until the
-    residual is below 5e-11 * tol_scale (or it stops improving)."""
-    try:
-        lu, piv = scipy.linalg.lu_factor(a)
-    except scipy.linalg.LinAlgError as e:
-        raise SolverError(f"singular system: {e}") from None
-    x = scipy.linalg.lu_solve((lu, piv), rhs)
-    target = 5e-11 * tol_scale
-    best = np.inf
-    for _ in range(6):
-        r = rhs - a @ x
-        rn = float(np.max(np.abs(r)))
-        if rn <= target or rn >= best:
-            break
-        best = rn
-        x = x + scipy.linalg.lu_solve((lu, piv), r)
-    rn = float(np.max(np.abs(rhs - a @ x)))
-    norm_a = float(np.max(np.abs(a).sum(axis=1)))
-    if rn > tol_scale * 1e-10 + _residual_floor(norm_a, x):
-        raise SolverError(
-            f"linear solve residual {rn:.3e} exceeds contract "
-            f"{tol_scale * 1e-10:.3e}; system is singular to precision")
-    return x
-
-
 def evaluate_policy(gen: TruncatedGenerator, cost: np.ndarray, beta: float,
                     lam: float | None = None) -> np.ndarray:
     """Expected discounted cost until extinction under one policy.
@@ -112,7 +86,10 @@ def evaluate_policy(gen: TruncatedGenerator, cost: np.ndarray, beta: float,
     with InfeasibleBetaError when beta is not strictly below the
     policy's extinction rate (the integral is infinite there).  The
     extinction rate is solved on the spot unless passed in.  The value
-    comes from one row-pivoted LU solve with iterative refinement.
+    solves M v = f for M = -(beta I + A), a nonsingular M-matrix below
+    the rate, by one unpivoted banded LU (qsd._BandedFactor at shift
+    beta) and two triangular solves; a pivot that comes out not positive
+    within rounding of the rate is a SolverError, never a refusal.
     Post: max-norm residual of the linear system <= 1e-10 (1 + |f|),
     up to the double-precision floor eps |A| |v| that dominates when
     beta sits within a hair of the extinction rate.
@@ -132,9 +109,15 @@ def evaluate_policy(gen: TruncatedGenerator, cost: np.ndarray, beta: float,
             f"discount beta={beta:g} is not below the extinction rate "
             f"lam={lam:g} of this policy: the discounted cost is infinite",
             beta=beta, lam=lam)
-    a = beta * np.eye(n) + gen.active
+    factor = _BandedFactor.of(gen, beta)
     v = np.zeros(n + 1)
-    v[1:] = _solve_refined(a, -f[1:], 1.0 + float(np.max(f)))
+    v[1:] = factor.solve(f[1:])
+    rn = float(np.max(np.abs(f[1:] + beta * v[1:] + gen.active @ v[1:])))
+    contract = 1e-10 * (1.0 + float(np.max(f)))
+    if rn > contract + _residual_floor(factor.norm, v):
+        raise SolverError(
+            f"linear solve residual {rn:.3e} exceeds contract "
+            f"{contract:.3e}; system is singular to precision")
     return v
 
 
@@ -203,24 +186,20 @@ def policy_iteration(model: ModelSpec, beta: float, mode: str,
                      level: int | None = None) -> ValueSolution:
     """Howard policy iteration for the discounted problem.
 
-    Starts from the all-first-action policy (falling back to the first
-    evaluable constant policy), alternates exact evaluation and
+    Starts from the first constant policy, in action order, whose
+    extinction rate lies above beta, alternates exact evaluation and
     improvement, and stops when the policy repeats.  The exit residual
     of the optimality equation must come out below tol plus the
-    double-precision floor eps |beta I + A| |v| of the final policy.  A discount at
-    or above the extinction rate of every constant policy, or of an
-    iterate along the way, raises InfeasibleBetaError carrying the
-    partial trace; in min mode that is strong evidence beta exceeds the
-    truncated optimal rate.
+    double-precision floor eps |beta I + A| |v| of the final policy.  A
+    discount at or above the extinction rate of every constant policy,
+    or of an iterate along the way (then carrying the partial trace),
+    raises InfeasibleBetaError; in min mode that is strong evidence beta
+    exceeds the truncated optimal rate.
     """
     if mode not in ("min", "max"):
         raise SolverError(f"mode must be 'min' or 'max', got {mode!r}")
     level = model.level if level is None else int(level)
-    current = model.constant_control(0, level)
-    gen = build_generator(model, current, level)
-    lam = solve_qsd(gen).lam
-    if not beta < lam:
-        current, gen, lam = _first_evaluable_constant(model, beta, level)
+    current, gen, lam = _first_evaluable_constant(model, beta, level)
 
     records: list[IterationRecord] = []
     v_prev = None
@@ -247,18 +226,16 @@ def policy_iteration(model: ModelSpec, beta: float, mode: str,
         previous, current = current, improved
         v_prev = v
         gen = build_generator(model, current, level)
-        try:
-            lam = solve_qsd(gen).lam
-            if not beta < lam:
-                raise InfeasibleBetaError(
-                    f"iterate policy has extinction rate {lam:g} <= "
-                    f"beta={beta:g}", beta=beta, lam=lam)
-        except InfeasibleBetaError as e:
-            e.trace = PolicyIterationTrace(tuple(records),
-                                           "evaluation-diverged")
-            if mode == "min":
-                e.diagnostic = "beta exceeds truncated lambda-star"
-            raise
+        lam = solve_qsd(gen).lam
+        if not beta < lam:
+            raise InfeasibleBetaError(
+                f"iterate policy has extinction rate {lam:g} <= "
+                f"beta={beta:g}", beta=beta, lam=lam,
+                diagnostic=("beta exceeds truncated lambda-star"
+                            if mode == "min"
+                            else "beta not below extinction rate"),
+                trace=PolicyIterationTrace(tuple(records),
+                                           "evaluation-diverged"))
     else:
         raise PolicyIterationError(
             f"policy not stable after {max_iter} iterations",

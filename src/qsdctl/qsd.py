@@ -114,25 +114,37 @@ def _residual_floor(norm_a: float, x: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class _BandedFactor:
-    """M = -A = L U for the living block A, without pivoting.
+    """M = -(A + shift I) = L U for the living block A, without pivoting.
 
     L is unit lower bidiagonal and U upper with k_max super-diagonals,
     both in LAPACK band storage.  The factor is built GTH-style from the
-    off-diagonal rates and the absorption rates only: eliminating state
-    x folds its jumps into state x+1 (the one state that dies into it),
-    every update adds magnitudes, and each pivot is the updated
-    absorption rate plus the magnitudes left in its row.  So L and U
-    carry the sign pattern of M exactly, and each triangular solve with
-    a positive right-hand side is a sum of positive terms, accurate
-    entrywise in relative terms however small the entries get.
+    off-diagonal rates and the absorption rates only, each lowered by
+    the shift: eliminating state x folds its jumps into state x+1 (the
+    one state that dies into it), and each pivot is the updated
+    absorption rate plus the magnitudes left in its row.  solve_qsd
+    factors at shift 0 and evaluate_policy at the discount beta.
+
+    For shift <= 0 every update adds magnitudes, so L and U carry the
+    sign pattern of M exactly and each triangular solve with a positive
+    right-hand side is a sum of positive terms, accurate entrywise in
+    relative terms however small the entries get.  For shift > 0 the
+    shifted absorption rates may be negative and the updates subtract;
+    while shift is below the extinction rate, M is a nonsingular
+    M-matrix with positive pivots.  A diagonal scaling makes it
+    diagonally dominant and leaves the unpivoted LU otherwise the same,
+    so the factor is backward stable without refinement (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002,
+    ch. 9).  The elimination stops with SolverError at the first pivot
+    that is not positive and finite, before dividing by it.
     """
 
     lower: np.ndarray   # (2, N): row 1 holds L[x+1, x]
     upper: np.ndarray   # (k_max + 1, N): row k_max holds the pivots
-    norm: float         # max absolute row sum of A
+    norm: float         # max absolute row sum of A + shift I
 
     @classmethod
-    def of(cls, gen: TruncatedGenerator) -> "_BandedFactor":
+    def of(cls, gen: TruncatedGenerator, shift: float = 0.0
+           ) -> "_BandedFactor":
         a = gen.active
         n = a.shape[0]
         rows, cols = np.nonzero(a)
@@ -151,29 +163,34 @@ class _BandedFactor:
                 "death step and nonnegative rates")
 
         # Eliminate state by state; Python floats beat numpy calls on
-        # rows this short.  kept is the absorption rate of the updated
-        # row; norm is |A|_inf, a row's exit rate plus its jump rates.
+        # rows this short.  kept is the shifted absorption rate of the
+        # updated row; norm is |A + shift I|_inf, a row's shifted exit
+        # rate in magnitude plus its jump rates.  State 1 dies into 0,
+        # which folds nothing into it: a zero row with pivot 1.
         rows_left = rest.tolist()
-        kept = float(absorb[0])
-        pivots = [kept + sum(rows_left[0])]
-        mults = []          # L[x, x-1] = -g
-        norm = pivots[0] + sum(rows_left[0])
-        for x, (dx, ax) in enumerate(zip(death.tolist(),
-                                         absorb[1:].tolist()), 1):
-            prev, row = rows_left[x - 1], rows_left[x]
-            norm = max(norm, ax + 2.0 * (dx + sum(row)))
-            g = dx / pivots[-1]
+        prev, pivot, kept, norm = [0.0] * (k + 1), 1.0, 0.0, 0.0
+        pivots = []
+        mults = []          # -g: state 1's dummy, then L below the diagonal
+        for x, (dx, ax, row) in enumerate(zip(
+                [0.0] + death.tolist(), (absorb - shift).tolist(),
+                rows_left), 1):
+            jumps = dx + sum(row)
+            norm = max(norm, abs(ax + jumps) + jumps)
+            g = dx / pivot
             for j in range(1, k):
                 row[j] += g * prev[j + 1]
             kept = ax + g * kept
-            pivots.append(kept + sum(row))
+            pivot = kept + sum(row)
+            if not 0.0 < pivot < math.inf:
+                raise SolverError(
+                    f"pivot {pivot:.3e} at state {x} is not positive and "
+                    f"finite: -(A + {shift:g} I) is singular to precision "
+                    "on this window")
+            pivots.append(pivot)
             mults.append(-g)
-        if not all(0.0 < p < math.inf for p in pivots):
-            raise SolverError(
-                "a pivot of -A under- or overflowed: the absorption rate "
-                "is outside double precision on this window")
+            prev = row
         lower = np.ones((2, n))
-        lower[1, :-1] = mults
+        lower[1, :-1] = mults[1:]
         upper = np.zeros((k + 1, n))
         upper[k] = pivots
         rest = np.array(rows_left)

@@ -9,7 +9,9 @@ from qsdctl.asymptotics import (brute_force_control_opt,
 from qsdctl.errors import (AllControlsInfeasibleError,
                            ContinuationStalledError, InfeasibleBetaError,
                            ModelError)
+from qsdctl.generator import build_generator
 from qsdctl.hjb import policy_iteration
+from qsdctl.qsd import solve_qsd
 from qsdctl.simulate import SimConfig
 
 CULLING_LAM_MAX = 0.9290248887341586   # all-cull
@@ -82,6 +84,15 @@ class TestContinuation:
         assert last.lam == opt.lam
         # converged inside the frontier window
         assert last.lam - last.beta <= 1e-2 * (1.0 + abs(last.lam))
+
+    @pytest.mark.parametrize("objective", ["max", "min"])
+    def test_step_rate_is_the_rate_of_its_control(self, culling, objective):
+        # the rate read off the policy-iteration trace is the one an
+        # eigen-solve of the step's control under the model gives
+        opt = optimize_extinction_rate(culling, objective)
+        for step in opt.steps:
+            gen = build_generator(culling, step.control, culling.level)
+            assert step.lam == solve_qsd(gen).lam
 
     def test_no_cross_check_by_default(self, culling):
         opt = optimize_extinction_rate(culling, "max")

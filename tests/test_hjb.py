@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qsdctl.errors import (InfeasibleBetaError, MathematicalRefusal,
                            PolicyIterationError, SolverError)
@@ -9,9 +11,10 @@ from qsdctl.generator import build_generator
 from qsdctl.hjb import (evaluate_policy, hjb_residual, improve_policy,
                         policy_iteration, verify_transversality)
 from qsdctl.models import Action, MarkovControl
-from qsdctl.qsd import solve_qsd
+from qsdctl.qsd import _BandedFactor, solve_qsd
 
 from test_models import make_model
+from test_qsd import MIXED_CONTROL_CHAINS, mixed_control_generator
 
 CULLING_LEVEL = 6
 
@@ -201,7 +204,8 @@ class TestDenseSolve:
         a = beta * np.eye(gen.level) + gen.active
         return np.concatenate(([0.0], np.linalg.solve(a, -f[1:])))
 
-    def test_matches_dense(self, culling, geometric_gen, geometric_qsd):
+    def test_matches_dense(self, culling, geometric_gen, geometric_qsd,
+                           logistic):
         gen = build_generator(culling, culling.constant_control(1),
                               CULLING_LEVEL)
         f = unit_cost(CULLING_LEVEL)
@@ -213,6 +217,15 @@ class TestDenseSolve:
         fg[1:] = np.arange(1, 101, dtype=float)
         v = evaluate_policy(geometric_gen, fg, 0.3, lam=geometric_qsd.lam)
         np.testing.assert_allclose(v, self.reference(geometric_gen, fg, 0.3),
+                                   rtol=1e-10, atol=1e-12)
+
+        # the widest window: exit rates reach about 4e6
+        wide = build_generator(logistic, logistic.constant_control(0, 2000),
+                               2000)
+        beta = solve_qsd(wide).lam / 2
+        fw = unit_cost(2000)
+        v = evaluate_policy(wide, fw, beta)
+        np.testing.assert_allclose(v, self.reference(wide, fw, beta),
                                    rtol=1e-10, atol=1e-12)
 
     def test_negative_beta(self, culling):
@@ -239,3 +252,56 @@ class TestNearFrontier:
         f = unit_cost(level)
         expect = np.linalg.solve(beta * np.eye(level) + gen.active, -f[1:])
         np.testing.assert_allclose(sol.v[1:], expect, rtol=1e-8)
+
+
+# the banded value solve on random multi-action models under mixed
+# controls: values against a dense solve, the refusal at and above the
+# rate, and the sign of the factor's pivots against the rate
+
+EPS = float(np.finfo(float).eps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(below=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+       **MIXED_CONTROL_CHAINS)
+def test_value_matches_dense_solve_under_mixed_controls(
+        level, k_max, actions, seed, below):
+    gen = mixed_control_generator(level, k_max, actions, seed)
+    lam = solve_qsd(gen).lam
+    f = unit_cost(level)
+    for beta in (-5.0 * below, below * lam * (1 - 1e-3)):
+        m = beta * np.eye(level) + gen.active
+        kappa = np.linalg.cond(m, np.inf)
+        # the dense solve of the rounded generator is good to about
+        # eps kappa; past that it has no correct digits to compare
+        assume(EPS * kappa < 1e-2)
+        v = evaluate_policy(gen, f, beta, lam=lam)
+        assert v[0] == 0.0 and np.all(v[1:] > 0)
+        np.testing.assert_allclose(v[1:], np.linalg.solve(m, -f[1:]),
+                                   rtol=8 * EPS * kappa, atol=0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(above=st.floats(min_value=0.0, max_value=1.0), **MIXED_CONTROL_CHAINS)
+def test_refusal_at_and_above_the_rate_under_mixed_controls(
+        level, k_max, actions, seed, above):
+    gen = mixed_control_generator(level, k_max, actions, seed)
+    lam = solve_qsd(gen).lam
+    beta = lam * (1.0 + above)
+    with pytest.raises(InfeasibleBetaError) as exc:
+        evaluate_policy(gen, unit_cost(level), beta)
+    assert exc.value.lam == lam and exc.value.beta == beta
+
+
+@settings(max_examples=40, deadline=None)
+@given(**MIXED_CONTROL_CHAINS)
+def test_pivot_signs_track_the_rate_under_mixed_controls(
+        level, k_max, actions, seed):
+    # -(beta I + A) is a nonsingular M-matrix exactly when beta < lam,
+    # which holds exactly when its unpivoted LU has positive pivots
+    gen = mixed_control_generator(level, k_max, actions, seed)
+    lam = solve_qsd(gen).lam
+    factor = _BandedFactor.of(gen, lam * (1 - 1e-6))
+    assert np.all(factor.upper[-1] > 0)
+    with pytest.raises(SolverError, match="not positive"):
+        _BandedFactor.of(gen, lam * (1 + 1e-6))

@@ -298,18 +298,19 @@ def test_qsd_identities_random_chain(level, seed):
     assert np.max(np.abs(a @ sol.eta + sol.lam * sol.eta)) <= 1e-10 * scale
 
 
-# inverse iteration against a dense eigensolve on random multi-action
-# models under mixed controls; births everywhere keep the chain
-# irreducible, so both vectors must come out strictly positive
+# random multi-action models under mixed controls, shared with the
+# value-solve properties in test_hjb; births everywhere keep the chain
+# irreducible
 
-@settings(max_examples=40, deadline=None)
-@given(
+MIXED_CONTROL_CHAINS = dict(
     level=st.integers(min_value=2, max_value=40),
     k_max=st.integers(min_value=1, max_value=6),
     actions=st.integers(min_value=1, max_value=3),
     seed=st.integers(min_value=0, max_value=2 ** 31),
 )
-def test_matches_dense_eig_under_mixed_controls(level, k_max, actions, seed):
+
+
+def mixed_control_generator(level, k_max, actions, seed):
     rng = np.random.default_rng(seed)
     b_coef = float(rng.uniform(0.1, 3.0))
     d_pow = float(rng.uniform(1.0, 2.0))
@@ -328,7 +329,16 @@ def test_matches_dense_eig_under_mixed_controls(level, k_max, actions, seed):
             d_bar=rx(f"2 * n^{d_pow!r}")),
         level=level)
     control = MarkovControl(tuple(rng.integers(0, actions, size=level)))
-    gen = build_generator(m, control, level)
+    return build_generator(m, control, level)
+
+
+# inverse iteration against a dense eigensolve; both vectors must come
+# out strictly positive
+
+@settings(max_examples=40, deadline=None)
+@given(**MIXED_CONTROL_CHAINS)
+def test_matches_dense_eig_under_mixed_controls(level, k_max, actions, seed):
+    gen = mixed_control_generator(level, k_max, actions, seed)
     sol = solve_qsd(gen)
     lam, pi, eta = dense_triple(gen.active)
     assert abs(sol.lam - lam) <= 1e-9 * max(1.0, lam)
