@@ -26,7 +26,8 @@ from .hjb import _cost_vector, evaluate_policy, policy_iteration
 from .models import MarkovControl, ModelSpec
 from .qsd import solve_qsd
 from .simulate import (HistoryPolicy, MonteCarloEstimate, SimConfig,
-                       discounted_survival_integral, simulate_thinning)
+                       _envelope_table, discounted_survival_integral,
+                       simulate_thinning)
 
 __all__ = [
     "RATE_TOL", "EnumerationResult",
@@ -347,9 +348,11 @@ def corollary_spot_check(model: ModelSpec, policy: HistoryPolicy, x: int,
     sol = policy_iteration(unit, beta, "max", level=level)
     bound = float(sol.v[x])
     run_cfg = SimConfig(config.seed, 1, config.horizon, config.state_cap)
+    envelopes = _envelope_table(model)
     vals = np.empty(config.samples)
     for i in range(config.samples):
-        traj = simulate_thinning(model, policy, x, run_cfg, stream_index=i)
+        traj = simulate_thinning(model, policy, x, run_cfg, stream_index=i,
+                                 _tables=envelopes)
         vals[i] = discounted_survival_integral(traj, beta)
     est = MonteCarloEstimate.from_values(vals)
     ok = est.value <= bound + 3.0 * est.stderr

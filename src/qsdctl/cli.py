@@ -28,7 +28,8 @@ from .models import MarkovControl, ModelSpec
 from .modelfile import builtin_dir, list_builtin, load_builtin, load_model
 from .qsd import (conditional_evolution, solve_qsd, survival_profile,
                   truncation_sweep)
-from .simulate import SimConfig, simulate_markov, simulate_thinning
+from .simulate import (SimConfig, _envelope_table, _markov_tables,
+                       simulate_markov, simulate_thinning)
 
 __all__ = ["main"]
 
@@ -150,16 +151,22 @@ def _cmd_simulate(args) -> int:
     run_cfg = SimConfig(args.seed, 1, args.horizon, args.state_cap)
     rule = _rule(model, args.rule) if args.rule else None
     control = None if rule else _control(model, args)
+    # one set of rate tables for every path; from a start outside
+    # 1..state_cap every path stops before it reads them
+    tables = None
+    if 1 <= args.x0 <= args.state_cap:
+        tables = (_envelope_table(model) if rule
+                  else _markov_tables(model, control))
 
     summary_rows = []
     path_rows = []
     for i in range(config.samples):
         if rule is not None:
             traj = simulate_thinning(model, rule, args.x0, run_cfg,
-                                     stream_index=i)
+                                     stream_index=i, _tables=tables)
         else:
             traj = simulate_markov(model, control, args.x0, run_cfg,
-                                   stream_index=i)
+                                   stream_index=i, _tables=tables)
         tau = traj.extinction_time
         summary_rows.append([
             i, traj.terminal, _fmt(traj.final_time), traj.final_state,

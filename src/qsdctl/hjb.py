@@ -79,7 +79,8 @@ class ValueSolution:
 
 
 def evaluate_policy(gen: TruncatedGenerator, cost: np.ndarray, beta: float,
-                    lam: float | None = None) -> np.ndarray:
+                    lam: float | None = None,
+                    _factor: _BandedFactor | None = None) -> np.ndarray:
     """Expected discounted cost until extinction under one policy.
 
     cost is the per-state vector on {0..N} with cost[0] = 0.  Refuses
@@ -109,7 +110,7 @@ def evaluate_policy(gen: TruncatedGenerator, cost: np.ndarray, beta: float,
             f"discount beta={beta:g} is not below the extinction rate "
             f"lam={lam:g} of this policy: the discounted cost is infinite",
             beta=beta, lam=lam)
-    factor = _BandedFactor.of(gen, beta)
+    factor = _factor or _BandedFactor.of(gen, beta)
     v = np.zeros(n + 1)
     v[1:] = factor.solve(f[1:])
     rn = float(np.max(np.abs(f[1:] + beta * v[1:] + gen.active @ v[1:])))
@@ -205,8 +206,9 @@ def policy_iteration(model: ModelSpec, beta: float, mode: str,
     v_prev = None
     v = None
     for it in range(1, max_iter + 1):
+        factor = _BandedFactor.of(gen, beta)
         v = evaluate_policy(gen, _cost_vector(model, current, level), beta,
-                            lam=lam)
+                            lam=lam, _factor=factor)
         if v_prev is None:
             delta_up = delta_down = 0.0
             changes = level
@@ -242,8 +244,7 @@ def policy_iteration(model: ModelSpec, beta: float, mode: str,
             trace=PolicyIterationTrace(tuple(records), "max-iter"))
 
     residual = float(np.max(np.abs(hjb_residual(model, v, beta, mode))))
-    norm_a = float(np.max(np.abs(beta * np.eye(level) + gen.active).sum(axis=1)))
-    floor = _residual_floor(norm_a, v)
+    floor = _residual_floor(factor.norm, v)
     if residual > tol + floor:
         raise PolicyIterationError(
             f"stable policy found but optimality residual {residual:.3e} "
@@ -252,7 +253,7 @@ def policy_iteration(model: ModelSpec, beta: float, mode: str,
     # resolvent sup bound: the unit-cost value dominates |v| / |f|
     ones = np.zeros(level + 1)
     ones[1:] = 1.0
-    bound_vec = evaluate_policy(gen, ones, beta, lam=lam)
+    bound_vec = evaluate_policy(gen, ones, beta, lam=lam, _factor=factor)
     f_vec = _cost_vector(model, current, level)
     sup_bound = float(np.max(bound_vec)) * float(np.max(f_vec))
     transversality = None

@@ -18,6 +18,7 @@ solvers proceed regardless, they only warn.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -236,7 +237,7 @@ class ModelSpec:
         if n == 0:
             return 0.0
         v = float(expr.evaluate(self._env(action, float(n))))
-        if not np.isfinite(v) or v < 0:
+        if not math.isfinite(v) or v < 0:
             name = self.controls.actions[action].name
             raise ModelError(
                 f"{role} rate is {v!r} at state {n} under action {name}")

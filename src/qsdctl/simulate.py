@@ -12,6 +12,13 @@ controls:
   history-dependent decision rules, because the rule is consulted at
   every proposal time with the past trajectory only.
 
+Both cost O(1) per event.  Rates come from per-state tables held as
+Python lists, built once per run when the caller shares them.  The
+rule sees a History view over the simulator's own jump list, whose
+current state, jump count and running peak are updated as jumps are
+accepted; reading its jumps copies them, O(jumps).  The actual rates
+are evaluated once per (state, action) along a thinning path.
+
 Randomness: one counter-based Philox stream per trajectory index,
 derived from (seed, index).  Identical (model, control, seed, config)
 yield bit-identical trajectories, and estimators reduce over a
@@ -107,25 +114,72 @@ class Trajectory:
         return peak
 
 
-@dataclass(frozen=True)
 class History:
     """Read-only view of the past handed to a decision rule: the start
-    state and the jumps strictly before the current instant."""
+    state and the jumps strictly before the current instant.
 
-    initial: int
-    jumps: tuple[tuple[float, int], ...]
+    The simulator hands its rule a view over its own growing jump list
+    (the first jump_count entries), with current_state and peak_state
+    kept up to date as jumps are accepted, so a rule that reads only
+    those, or the jump count, costs O(1).  Reading jumps copies them
+    into a tuple, O(jump_count).  A view a rule keeps goes on showing
+    the past at its own instant, whatever the path does later.
+    """
+
+    __slots__ = ("_initial", "_jumps", "_count", "_current", "_peak")
+
+    def __init__(self, initial: int, jumps: Sequence[tuple[float, int]]):
+        jumps = tuple(jumps)
+        self._initial = initial
+        self._jumps = jumps
+        self._count = len(jumps)
+        self._current = jumps[-1][1] if jumps else initial
+        self._peak = max([initial] + [s for _, s in jumps])
+
+    @classmethod
+    def _view(cls, initial: int, jumps: list, count: int, current: int,
+              peak: int) -> "History":
+        """A view over the first count entries of a list that only
+        grows; current and peak are the state and running maximum
+        after them."""
+        h = cls.__new__(cls)
+        h._initial = initial
+        h._jumps = jumps
+        h._count = count
+        h._current = current
+        h._peak = peak
+        return h
+
+    @property
+    def initial(self) -> int:
+        return self._initial
+
+    @property
+    def jumps(self) -> tuple[tuple[float, int], ...]:
+        return tuple(self._jumps[:self._count])
 
     @property
     def current_state(self) -> int:
-        return self.jumps[-1][1] if self.jumps else self.initial
+        return self._current
 
     @property
     def jump_count(self) -> int:
-        return len(self.jumps)
+        return self._count
 
     @property
     def peak_state(self) -> int:
-        return max([self.initial] + [s for _, s in self.jumps])
+        return self._peak
+
+    def __eq__(self, other):
+        if not isinstance(other, History):
+            return NotImplemented
+        return (self.initial, self.jumps) == (other.initial, other.jumps)
+
+    def __hash__(self):
+        return hash((self.initial, self.jumps))
+
+    def __repr__(self):
+        return f"History(initial={self.initial!r}, jumps={self.jumps!r})"
 
 
 @dataclass(frozen=True)
@@ -188,31 +242,40 @@ def _stream(seed: int, index: int) -> np.random.Generator:
 
 
 class _RateTable:
-    """Lazy per-state cache of a rate function, doubling as needed."""
+    """Lazy per-state rates as Python lists indexed by state: fill(size)
+    gives one array per rate on 0..size-1, refilled at double the size
+    as states grow."""
 
-    def __init__(self, fill: Callable[[int], np.ndarray], initial: int = 1024):
+    def __init__(self, fill: Callable[[int], Sequence[np.ndarray]],
+                 initial: int = 1024):
         self._fill = fill
-        self._values = fill(initial)
+        self.rows = [row.tolist() for row in fill(initial)]
 
-    def get(self, n: int) -> float:
-        if n >= self._values.size:
-            grow = max(2 * self._values.size, n + 1)
-            self._values = self._fill(grow)
-        return float(self._values[n])
+    def cover(self, n: int) -> list[list[float]]:
+        """The rows, grown to reach state n."""
+        size = len(self.rows[0])
+        if n >= size:
+            self.rows = [row.tolist()
+                         for row in self._fill(max(2 * size, n + 1))]
+        return self.rows
 
 
-def _markov_tables(model: ModelSpec, control: MarkovControl):
-    """(birth, death, cost) tables under a stationary control; states
+def _markov_tables(model: ModelSpec, control: MarkovControl) -> _RateTable:
+    """(birth, death, cost) rows under a stationary control; states
     above the control's range reuse its top action."""
-    def table(role):
-        return _RateTable(
-            lambda size: _control_rates(model, control, size - 1, (role,))[1][0])
-    return table("birth"), table("death"), table("cost")
+    return _RateTable(lambda size: [
+        _control_rates(model, control, size - 1, (role,))[1][0]
+        for role in ("birth", "death", "cost")])
+
+
+def _envelope_table(model: ModelSpec) -> _RateTable:
+    """(b_bar * n, d_bar(n)) rows: the thinning proposal rates."""
+    return _RateTable(lambda size: model.envelope_tables(size - 1))
 
 
 def simulate_markov(model: ModelSpec, control: MarkovControl, x0: int,
                     config: SimConfig, stream_index: int = 0,
-                    _tables=None) -> Trajectory:
+                    _tables: _RateTable | None = None) -> Trajectory:
     """One exact path under a stationary control (competing
     exponentials).  Runs until absorption, the horizon, or the state
     cap, whichever comes first."""
@@ -224,48 +287,72 @@ def simulate_markov(model: ModelSpec, control: MarkovControl, x0: int,
     if x0 == 0:
         return Trajectory(0, (), TERMINAL_ABSORBED, 0.0)
     rng = _stream(config.seed, stream_index)
-    births, deaths, _ = _tables or _markov_tables(model, control)
-    cdfs = {a: model.progeny.cdf(a) for a in set(control.assignment)}
-    horizon = config.horizon
+    exponential, uniform = rng.exponential, rng.random
+    table = _tables or _markov_tables(model, control)
+    births, deaths, _ = table.cover(x0)
+    size = len(births)
+    assignment = control.assignment
+    top = len(assignment)
+    cdfs = {a: model.progeny.cdf(a).tolist() for a in set(assignment)}
+    k_max = model.progeny.k_max
+    horizon = math.inf if config.horizon is None else config.horizon
+    cap = config.state_cap
     t = 0.0
     n = x0
     jumps: list[tuple[float, int]] = []
+    append = jumps.append
     while True:
-        b = births.get(n)
-        d = deaths.get(n)
-        total = b + d
+        if n >= size:
+            births, deaths, _ = table.cover(n)
+            size = len(births)
+        b = births[n]
+        total = b + deaths[n]
         if total == 0.0:
-            if horizon is None:
+            if config.horizon is None:
                 raise SimulationError(
                     f"all rates vanish at state {n}: the path is frozen and "
                     "will never absorb")
             return Trajectory(x0, tuple(jumps), TERMINAL_HORIZON, horizon)
-        t_next = t + rng.exponential(1.0 / total)
-        if horizon is not None and t_next > horizon:
+        t_next = t + exponential(1.0 / total)
+        if t_next > horizon:
             return Trajectory(x0, tuple(jumps), TERMINAL_HORIZON, horizon)
         t = t_next
-        if b > 0.0 and rng.random() * total < b:
-            cdf = cdfs[control.action_at(n)]
-            k = int(np.searchsorted(cdf, rng.random(), side="right")) + 1
-            n += min(k, cdf.size)
+        if b > 0.0 and uniform() * total < b:
+            cdf = cdfs[assignment[(n if n < top else top) - 1]]
+            k = bisect_right(cdf, uniform()) + 1
+            n += k if k < k_max else k_max
         else:
             n -= 1
-        jumps.append((t, n))
+        append((t, n))
         if n == 0:
             return Trajectory(x0, tuple(jumps), TERMINAL_ABSORBED, t)
-        if n > config.state_cap:
+        if n > cap:
             return Trajectory(x0, tuple(jumps), TERMINAL_CAP, t)
 
 
+def _checked_rate(model: ModelSpec, role: str, n: int, action: int,
+                  envelope: float) -> float:
+    """The actual rate of one move, which must stay under its envelope."""
+    rate = (model.birth_rate if role == "birth" else model.death_rate)(
+        n, action)
+    if rate > envelope * (1 + 1e-9):
+        raise EnvelopeViolationError(
+            f"{role} rate {rate:g} exceeds envelope {envelope:g} at state "
+            f"{n} under action {model.controls.names[action]}")
+    return rate
+
+
 def simulate_thinning(model: ModelSpec, policy: HistoryPolicy, x0: int,
-                      config: SimConfig, stream_index: int = 0) -> Trajectory:
+                      config: SimConfig, stream_index: int = 0,
+                      _tables: _RateTable | None = None) -> Trajectory:
     """One exact path under a history-dependent rule, by thinning.
 
     Proposals arrive at the envelope rates b_bar * n (up) and d_bar(n)
     (down).  At each proposal instant the rule is consulted with the
     past only; a uniform mark on the envelope decides acceptance and,
     for births, the progeny size through the cumulative law.  An actual
-    rate above its envelope is an EnvelopeViolationError.
+    rate above its envelope is an EnvelopeViolationError.  Each actual
+    rate is evaluated once per (state, action) along the path.
     """
     if x0 < 0:
         raise SimulationError("initial state must be >= 0")
@@ -274,67 +361,77 @@ def simulate_thinning(model: ModelSpec, policy: HistoryPolicy, x0: int,
     if x0 == 0:
         return Trajectory(0, (), TERMINAL_ABSORBED, 0.0)
     rng = _stream(config.seed, stream_index)
+    exponential, uniform, rule = rng.exponential, rng.random, policy.rule
     m = model.num_actions
-
-    def fill_env(role):
-        def fill(size):
-            return model.envelope_tables(size - 1)[role]
-        return fill
-    benv_t = _RateTable(fill_env(0))
-    denv_t = _RateTable(fill_env(1))
-    cdfs = [model.progeny.cdf(a) for a in range(m)]
-    horizon = config.horizon
+    table = _tables or _envelope_table(model)
+    benvs, denvs = table.cover(x0)
+    size = len(benvs)
+    cdfs = [model.progeny.cdf(a).tolist() for a in range(m)]
+    k_max = model.progeny.k_max
+    # per action, state -> (birth rate, cdf scaled by it) / death rate
+    birth_memo: list[dict] = [{} for _ in range(m)]
+    death_memo: list[dict] = [{} for _ in range(m)]
+    horizon = math.inf if config.horizon is None else config.horizon
+    cap = config.state_cap
     t = 0.0
-    n = x0
+    n = peak = x0
+    count = 0
     jumps: list[tuple[float, int]] = []
+    append = jumps.append
+    view = History._view
+    history = view(x0, jumps, 0, n, peak)
+    benv = benvs[n]
+    denv = denvs[n]
     while True:
-        benv = benv_t.get(n)
-        denv = denv_t.get(n)
         total = benv + denv
         if total == 0.0:
-            if horizon is None:
+            if config.horizon is None:
                 raise SimulationError(
                     f"both envelopes vanish at state {n}: the path is frozen")
             return Trajectory(x0, tuple(jumps), TERMINAL_HORIZON, horizon)
-        t_next = t + rng.exponential(1.0 / total)
-        if horizon is not None and t_next > horizon:
+        t_next = t + exponential(1.0 / total)
+        if t_next > horizon:
             return Trajectory(x0, tuple(jumps), TERMINAL_HORIZON, horizon)
         t = t_next
-        action = policy.rule(t, History(x0, tuple(jumps)))
+        action = rule(t, history)
         if not 0 <= action < m:
             raise SimulationError(
                 f"decision rule returned action {action}, valid range is "
                 f"0..{m - 1}")
-        birth_proposal = rng.random() * total < benv
-        if birth_proposal:
-            mark = rng.random() * benv
-            b = model.birth_rate(n, action)
-            if b > benv * (1 + 1e-9):
-                raise EnvelopeViolationError(
-                    f"birth rate {b:g} exceeds envelope {benv:g} at state "
-                    f"{n} under action {model.controls.names[action]}")
-            if mark < b:
-                cdf = cdfs[action]
-                k = int(np.searchsorted(cdf * b, mark, side="right")) + 1
-                n += min(k, cdf.size)
-            else:
+        if uniform() * total < benv:
+            mark = uniform() * benv
+            memo = birth_memo[action].get(n)
+            if memo is None:
+                b = _checked_rate(model, "birth", n, action, benv)
+                memo = birth_memo[action][n] = (
+                    b, [c * b for c in cdfs[action]])
+            if not mark < memo[0]:
                 continue
+            k = bisect_right(memo[1], mark) + 1
+            n += k if k < k_max else k_max
         else:
-            mark = rng.random() * denv
-            d = model.death_rate(n, action)
-            if d > denv * (1 + 1e-9):
-                raise EnvelopeViolationError(
-                    f"death rate {d:g} exceeds envelope {denv:g} at state "
-                    f"{n} under action {model.controls.names[action]}")
-            if mark < d:
-                n -= 1
-            else:
+            mark = uniform() * denv
+            d = death_memo[action].get(n)
+            if d is None:
+                d = death_memo[action][n] = _checked_rate(
+                    model, "death", n, action, denv)
+            if not mark < d:
                 continue
-        jumps.append((t, n))
+            n -= 1
+        append((t, n))
         if n == 0:
             return Trajectory(x0, tuple(jumps), TERMINAL_ABSORBED, t)
-        if n > config.state_cap:
+        if n > cap:
             return Trajectory(x0, tuple(jumps), TERMINAL_CAP, t)
+        if n > peak:
+            peak = n
+        count += 1
+        history = view(x0, jumps, count, n, peak)
+        if n >= size:
+            benvs, denvs = table.cover(n)
+            size = len(benvs)
+        benv = benvs[n]
+        denv = denvs[n]
 
 
 # ---------------------------------------------------------------------
@@ -444,11 +541,11 @@ def estimate_cost(model: ModelSpec, control: MarkovControl, x: int,
                 f"{lam:g} estimated at level {control.level}; the cost "
                 "estimator may have infinite variance", InfiniteVarianceWarning)
     tables = _markov_tables(model, control)
-    costs = tables[2]
     values = np.empty(config.samples)
     run_cfg = SimConfig(config.seed, 1, config.horizon, config.state_cap)
     for i in range(config.samples):
         traj = simulate_markov(model, control, x, run_cfg, stream_index=i,
                                _tables=tables)
-        values[i] = _discounted_path_integral(traj, beta, costs.get)
+        values[i] = _discounted_path_integral(
+            traj, beta, lambda s: tables.cover(s)[2][s])
     return MonteCarloEstimate.from_values(values)

@@ -176,3 +176,17 @@ class TestSpotCheck:
         with pytest.raises(ModelError):
             corollary_spot_check(culling, policies.constant(0), 9, 0.3,
                                  SimConfig(seed=1, samples=10))
+
+    def test_envelope_table_built_once(self, culling, monkeypatch):
+        from qsdctl import asymptotics, simulate
+        builds = []
+        make = simulate._envelope_table
+
+        def counted(model):
+            builds.append(model)
+            return make(model)
+        monkeypatch.setattr(simulate, "_envelope_table", counted)
+        monkeypatch.setattr(asymptotics, "_envelope_table", counted)
+        corollary_spot_check(culling, policies.peak_threshold(5, 0, 1), x=2,
+                             beta=0.3, config=SimConfig(seed=3, samples=40))
+        assert builds == [culling]

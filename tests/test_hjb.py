@@ -140,6 +140,19 @@ class TestOptimality:
         sol2 = policy_iteration(geometric, 0.2, "min", level=60)
         assert sol2.sup_bound >= float(np.max(np.abs(sol2.v)))
 
+    def test_sup_bound_is_the_unit_cost_value(self, culling, geometric):
+        # the bound reuses the final evaluation's factor; a fresh
+        # factor of the same generator and beta gives the same bits
+        for model, beta, mode, level in ((culling, 0.3, "min", 6),
+                                         (culling, -0.5, "max", 30),
+                                         (geometric, 0.2, "min", 60)):
+            sol = policy_iteration(model, beta, mode, level=level)
+            gen = build_generator(model, sol.policy, level)
+            bound = evaluate_policy(gen, unit_cost(level), beta)
+            f = np.array([model.cost_rate(x, sol.policy.action_at(x))
+                          for x in range(1, level + 1)])
+            assert sol.sup_bound == float(np.max(bound)) * float(np.max(f))
+
     def test_value_monotone_in_beta(self, culling):
         keep = culling.constant_control(1)
         gen = build_generator(culling, keep, CULLING_LEVEL)

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsdctl import policies
-from qsdctl.errors import (EnvelopeViolationError, InfiniteVarianceWarning,
-                           LowConfidenceWarning, SimulationError,
-                           ZeroSurvivorsError)
+from qsdctl.errors import (EnvelopeViolationError, HypothesisFailureWarning,
+                           InfiniteVarianceWarning, LowConfidenceWarning,
+                           SimulationError, ZeroSurvivorsError)
 from qsdctl.generator import build_generator
 from qsdctl.hjb import evaluate_policy
 from qsdctl.models import MarkovControl
@@ -342,6 +344,46 @@ class TestThinning:
         assert t != t_keep
 
 
+    def test_rates_evaluated_once_per_state_and_action(self, culling,
+                                                       monkeypatch):
+        calls = []
+        for role in ("birth_rate", "death_rate"):
+            rate = getattr(type(culling), role)
+
+            def counted(model, n, action, rate=rate, role=role):
+                calls.append((role, n, action))
+                return rate(model, n, action)
+            monkeypatch.setattr(type(culling), role, counted)
+        rule = policies.peak_threshold(5, 0, 1)
+        for i in range(20):
+            calls.clear()
+            simulate_thinning(culling, rule, 4, SimConfig(seed=5, horizon=5.0),
+                              stream_index=i)
+            assert calls
+            assert len(calls) == len(set(calls))
+
+    @pytest.mark.parametrize("argv", [
+        ["--rule", "peak:5,0,1"], ["--control", "cull"]])
+    def test_cli_builds_tables_once_per_run(self, tmp_path, argv,
+                                            monkeypatch):
+        from qsdctl import cli, simulate
+        builds = []
+        for name in ("_envelope_table", "_markov_tables"):
+            fn = getattr(simulate, name)
+
+            def counted(*args, fn=fn):
+                builds.append(fn)
+                return fn(*args)
+            monkeypatch.setattr(simulate, name, counted)
+            monkeypatch.setattr(cli, name, counted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", HypothesisFailureWarning)
+            rc = cli.main(["simulate", "culling", "--x0", "3", "--seed", "1",
+                           "--samples", "30", "--out", str(tmp_path)] + argv)
+        assert rc == 0
+        assert len(builds) == 1
+
+
 class TestPolicyCatalog:
     h0 = History(3, ())
     h2 = History(3, ((0.2, 4), (0.9, 3)))
@@ -387,6 +429,34 @@ class TestPolicyCatalog:
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2 ** 30),
+       x0=st.integers(min_value=1, max_value=8),
+       threshold=st.integers(min_value=1, max_value=10),
+       horizon=st.one_of(st.none(), st.floats(min_value=0.1, max_value=5.0)))
+def test_history_view_contract(culling, seed, x0, threshold, horizon):
+    # at every proposal the O(1) summaries agree with the jumps they
+    # summarize, and a view the rule keeps still shows only its past
+    kept = []
+
+    def rule(t, h):
+        jumps = h.jumps
+        assert h.jump_count == len(jumps)
+        assert h.current_state == (jumps[-1][1] if jumps else h.initial)
+        assert h.peak_state == max([h.initial] + [s for _, s in jumps])
+        assert h == History(h.initial, jumps)
+        kept.append((t, h, jumps))
+        return 1 if h.peak_state >= threshold else h.jump_count % 2
+    cfg = SimConfig(seed=seed, horizon=horizon, state_cap=60)
+    traj = simulate_thinning(culling, policies.HistoryPolicy("probe", rule),
+                             x0, cfg)
+    assert len(kept) >= len(traj.jumps)
+    for t, h, jumps in kept:
+        assert h.initial == x0
+        assert h.jumps == jumps
+        assert h.jumps == tuple(j for j in traj.jumps if j[0] < t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 30),
        x0=st.integers(min_value=1, max_value=6),
        horizon=st.one_of(st.none(), st.floats(min_value=0.1, max_value=5.0)))
 def test_trajectory_invariants(culling, seed, x0, horizon):
@@ -413,3 +483,163 @@ def test_trajectory_invariants(culling, seed, x0, horizon):
     # no jump at a dead state: 0 is absorbing
     for i, (_, s) in enumerate(traj.jumps[:-1]):
         assert s >= 1
+
+
+# ---------------------------------------------------------------------
+# golden streams: seeded paths must replay bit for bit across versions
+
+def _markov_case(model, control, x0, seed, horizon=None, state_cap=100_000,
+                 paths=6):
+    def run(models):
+        m = models[model]
+        c = control if isinstance(control, MarkovControl) else \
+            m.constant_control(control)
+        cfg = SimConfig(seed=seed, horizon=horizon, state_cap=state_cap)
+        return [simulate_markov(m, c, x0, cfg, stream_index=i)
+                for i in range(paths)]
+    return run
+
+
+def _thinning_case(model, rule, x0, seed, horizon=None, state_cap=100_000,
+                   paths=6):
+    def run(models):
+        cfg = SimConfig(seed=seed, horizon=horizon, state_cap=state_cap)
+        return [simulate_thinning(models[model], rule, x0, cfg, stream_index=i)
+                for i in range(paths)]
+    return run
+
+
+MIXED = MarkovControl((0, 1, 1, 0, 1, 0))
+
+GOLDEN_CASES = {
+    "markov-culling-keep": _markov_case("culling", 0, 3, 11),
+    "markov-culling-cull-horizon": _markov_case("culling", 1, 5, 12,
+                                                horizon=0.3),
+    "markov-culling-mixed": _markov_case("culling", MIXED, 4, 13,
+                                         horizon=2.0),
+    "markov-linear-cap": _markov_case("linear", 0, 20, 14, horizon=1.0,
+                                      state_cap=24),
+    "markov-linear-long": _markov_case("linear", 0, 100, 18, horizon=0.3,
+                                       paths=2),
+    "markov-logistic": _markov_case("logistic", 0, 10, 15),
+    "markov-pure-death": _markov_case("pure_death", 0, 6, 16),
+    "markov-geometric-absorb": _markov_case("geometric", 0, 2, 19,
+                                            paths=12),
+    "markov-geometric-cap": _markov_case("geometric", 0, 11, 17,
+                                         horizon=1.0, state_cap=11),
+    "thin-culling-constant": _thinning_case("culling", policies.constant(1),
+                                            3, 21),
+    "thin-culling-markov": _thinning_case(
+        "culling", policies.markov_as_history(MIXED), 4, 22, horizon=2.0),
+    "thin-culling-switch": _thinning_case(
+        "culling", policies.switch_after_first_jump(0, 1), 4, 23),
+    "thin-culling-peak": _thinning_case(
+        "culling", policies.peak_threshold(5, 0, 1), 3, 24, horizon=3.0),
+    "thin-culling-time": _thinning_case(
+        "culling", policies.time_threshold(0.3, 0, 1), 3, 25, horizon=0.6),
+    "thin-linear-peak-cap": _thinning_case(
+        "linear", policies.peak_threshold(21, 0, 0), 20, 26, horizon=1.0,
+        state_cap=22),
+    "thin-linear-peak-long": _thinning_case(
+        "linear", policies.peak_threshold(110, 0, 0), 100, 30, horizon=0.3,
+        paths=2),
+    "thin-logistic-markov": _thinning_case(
+        "logistic", policies.markov_as_history(MarkovControl((0,))), 10, 27),
+    "thin-pure-death-switch": _thinning_case(
+        "pure_death", policies.switch_after_first_jump(0, 0), 6, 28),
+    "thin-geometric-switch": _thinning_case(
+        "geometric", policies.switch_after_first_jump(0, 0), 2, 31,
+        paths=12),
+    "thin-geometric-time-cap": _thinning_case(
+        "geometric", policies.time_threshold(0.2, 0, 0), 11, 29,
+        horizon=1.0, state_cap=11),
+}
+
+# recorded with the simulator loops that read numpy tables and rebuilt
+# History at every proposal; a mismatch means the simulated law or the
+# random stream changed
+GOLDEN_DIGESTS = {
+    'markov-culling-cull-horizon':
+        'beee4dd1a400749206413a80a0051c6700650782d719250abdfaa2693a90fc2a',
+    'markov-culling-keep':
+        '7351337be60984ee3dee8ac5a33fca85836b844a85060e3a2caad6222151ca3a',
+    'markov-culling-mixed':
+        'd09953f6be0f2e1dc011eab8c982f6212b54aeb1f75e686649551b17fab05f8e',
+    'markov-geometric-absorb':
+        'f89bf0f093e4ee9330406d9373548ac9da489e5447ea0bbf387555ea5f1b288d',
+    'markov-geometric-cap':
+        '57f836314c99de0a36d95644603429be94be8f9e7b2de4eb42131075a26c9b47',
+    'markov-linear-cap':
+        '470ffddf2a5f2d290e2ef3ca1850e42a4b285b9bd5dc7a3f2ebfdbee8ccbb219',
+    'markov-linear-long':
+        '8f8cd7d9fcc0cdbc5076dbfa5fc0e6323083c402fbd7765219f3fbcea9935669',
+    'markov-logistic':
+        '2bd1113587f8a2f568b65009fd4bbecde28c21e2ce5e4511b2443212b66a78f0',
+    'markov-pure-death':
+        'd99502d12c2fc9e619df515a9573be42ce229d6fe9db1c77b0ba83f311581ea6',
+    'thin-culling-constant':
+        '7e7a993f2414104567049d474673b23e37571ac0a6d38e0278e5746f13c7340f',
+    'thin-culling-markov':
+        'cd72a686a701906c1e249e3599c07e2a41c8d28d401898d489cd20a1a02e8380',
+    'thin-culling-peak':
+        'd5cf8f4673df9423106d1987af95c1d87c1192d14f4a1e93baddaf16c622e9d9',
+    'thin-culling-switch':
+        '1cbd1e7185817adbbc3fb99d32f04623d8e868f7a62f8a0bec5b70bc93efcf84',
+    'thin-culling-time':
+        'ea6c7e187fa56cfda11db628887ab2e85f632109e7d265fd87b587e1ec87cdc3',
+    'thin-geometric-switch':
+        '4261e5b11096bc3cc00651d806e5cf9abd3c053577f4e3be2b54af0b7699ff63',
+    'thin-geometric-time-cap':
+        '8edcab4e4e8bee6eec9f782729ad726142f57cff963d393401c774912ed8170c',
+    'thin-linear-peak-cap':
+        '5f18340c2fc94b95e8f902d0284e1993cb149b136d5f54fa3f389240690509fe',
+    'thin-linear-peak-long':
+        '2d73caa6539337a2599e67815fa5b4059dfc3174db87f5dc976326e5d6fa85f7',
+    'thin-logistic-markov':
+        '0f54efb54f368d07d2c39cdb4eceb803e5092e7d4975d806f26183e5f222b308',
+    'thin-pure-death-switch':
+        '83e6e99c938fb0650b4070c6c02c989de020310616ce66bccfa8a8c44ec9ab3b',
+    'cli-culling-peak': {
+        'summary.csv':
+            '1967beb814c427c86c480cb28b6b2e0708166c5da9df96a42f6a3e897cb60c0e',
+        'paths.csv':
+            'e9cb4786343bc0059e421a7be1eb5725240de5e689502bb3d8edc267f3a2c81a',
+    },
+}
+
+
+def _digest(trajs) -> str:
+    h = hashlib.sha256()
+    for t in trajs:
+        h.update(repr((t.initial, t.jumps, t.terminal, t.stop_time)).encode())
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def bundled(culling, linear, logistic, pure_death, geometric):
+    return {"culling": culling, "linear": linear, "logistic": logistic,
+            "pure_death": pure_death, "geometric": geometric}
+
+
+class TestGoldenStreams:
+    @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+    def test_digest(self, bundled, case):
+        assert _digest(GOLDEN_CASES[case](bundled)) == GOLDEN_DIGESTS[case]
+
+    def test_cases_cover_every_stop(self, bundled):
+        terminals = {t.terminal for run in GOLDEN_CASES.values()
+                     for t in run(bundled)}
+        assert terminals == {"absorbed", "horizon-reached",
+                             "state-cap-reached"}
+
+    def test_cli_peak_rule_outputs(self, tmp_path):
+        from qsdctl.cli import main
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", HypothesisFailureWarning)
+            rc = main(["simulate", "culling", "--x0", "3", "--seed", "7",
+                       "--samples", "50", "--rule", "peak:5,0,1", "--paths",
+                       "--out", str(tmp_path)])
+        assert rc == 0
+        got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("summary.csv", "paths.csv")}
+        assert got == GOLDEN_DIGESTS["cli-culling-peak"]
