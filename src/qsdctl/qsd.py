@@ -17,20 +17,29 @@ two smallest rates whatever the size of the exit rates.  M is factored
 once per solve, without pivoting, into banded factors built only from
 jump and absorption rates (in the manner of Grassmann, Taksar & Heyman,
 Oper. Res. 33(5), 1985), so every solve adds positive terms and pi
-stays accurate entry by entry far into its tail.  Transient solves
-uniformize (P = I + L/Lam with Lam just above the largest exit rate)
-with log-space Poisson weights so stiff models and long horizons do
-not underflow.
+stays accurate entry by entry far into its tail.
+
+Transient solves apply exp(tL) as a trapezoid sum over a parabolic
+contour of the resolvent (Weideman & Trefethen, Math. Comp. 76, 2007),
+each node one complex banded solve, so their cost does not grow with
+the exit rates or the horizon.  Each sum certifies itself by agreeing
+with the next node count; where it cannot (strongly non-normal blocks,
+such as pure death on a wide window) the step is uniformized instead
+(P = I + L/Lam with Lam just above the largest exit rate), with
+log-space Poisson weights so stiff models and long horizons do not
+underflow.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dtbtrs
+from scipy.linalg.lapack import dtbtrs, zgbtrf, zgbtrs
 
 from .errors import ModelError, NonConvergenceError, SolverError, ThresholdNotFoundError
 from .generator import TruncatedGenerator, _jump_table, build_generator
@@ -112,6 +121,22 @@ def _residual_floor(norm_a: float, x: np.ndarray) -> float:
     return 8 * _EPS * norm_a * (1.0 + float(abs(x).max()))
 
 
+_NOT_BIRTH_DEATH = ("living block is not a birth-death generator with one "
+                    "death step and nonnegative rates")
+
+
+def _band(gen: TruncatedGenerator) -> list[np.ndarray]:
+    """The diagonals -1, 0, ..., k_max of the living block A, the death
+    rates A[x+1, x] first, with k_max found by one scan for nonzeros.
+    Raises SolverError when A jumps more than one step down."""
+    a = gen.active
+    rows, cols = np.nonzero(a)
+    off = cols - rows
+    if off.min(initial=0) < -1:
+        raise SolverError(_NOT_BIRTH_DEATH)
+    return [np.diagonal(a, j) for j in range(-1, int(off.max(initial=0)) + 1)]
+
+
 @dataclass(frozen=True, eq=False)
 class _BandedFactor:
     """M = -(A + shift I) = L U for the living block A, without pivoting.
@@ -141,26 +166,24 @@ class _BandedFactor:
     lower: np.ndarray   # (2, N): row 1 holds L[x+1, x]
     upper: np.ndarray   # (k_max + 1, N): row k_max holds the pivots
     norm: float         # max absolute row sum of A + shift I
+    tops: list[int]     # states (0-based) that no state up to them leaves
+                        # upwards: U has nothing right of the diagonal
 
     @classmethod
     def of(cls, gen: TruncatedGenerator, shift: float = 0.0
            ) -> "_BandedFactor":
-        a = gen.active
-        n = a.shape[0]
-        rows, cols = np.nonzero(a)
-        off = cols - rows
-        k = int(off.max())
+        diags = _band(gen)
+        n = gen.level
+        k = len(diags) - 2
         # rest[x]: magnitudes of U[x, x+1..x+k] (index 0 unused), the
         # birth rates before elimination
         rest = np.zeros((n, k + 1))
         for j in range(1, k + 1):
-            rest[:n - j, j] = np.diagonal(a, j)
-        death = np.diagonal(a, -1)
+            rest[:n - j, j] = diags[j + 1]
+        death = diags[0]
         absorb = gen.matrix[1:, 0]
-        if off.min() < -1 or rest.min() < 0 or absorb.min() < 0:
-            raise SolverError(
-                "living block is not a birth-death generator with one "
-                "death step and nonnegative rates")
+        if rest.min() < 0 or absorb.min() < 0:
+            raise SolverError(_NOT_BIRTH_DEATH)
 
         # Eliminate state by state; Python floats beat numpy calls on
         # rows this short.  kept is the shifted absorption rate of the
@@ -171,6 +194,7 @@ class _BandedFactor:
         prev, pivot, kept, norm = [0.0] * (k + 1), 1.0, 0.0, 0.0
         pivots = []
         mults = []          # -g: state 1's dummy, then L below the diagonal
+        tops = []
         for x, (dx, ax, row) in enumerate(zip(
                 [0.0] + death.tolist(), (absorb - shift).tolist(),
                 rows_left), 1):
@@ -180,7 +204,8 @@ class _BandedFactor:
             for j in range(1, k):
                 row[j] += g * prev[j + 1]
             kept = ax + g * kept
-            pivot = kept + sum(row)
+            up = sum(row)
+            pivot = kept + up
             if not 0.0 < pivot < math.inf:
                 raise SolverError(
                     f"pivot {pivot:.3e} at state {x} is not positive and "
@@ -188,6 +213,8 @@ class _BandedFactor:
                     "on this window")
             pivots.append(pivot)
             mults.append(-g)
+            if up == 0.0:
+                tops.append(x - 1)
             prev = row
         lower = np.ones((2, n))
         lower[1, :-1] = mults[1:]
@@ -196,7 +223,7 @@ class _BandedFactor:
         rest = np.array(rows_left)
         for j in range(1, k + 1):
             upper[k - j, j:] = -rest[:n - j, j]
-        return cls(lower, upper, norm)
+        return cls(lower, upper, norm, tops)
 
     # dtbtrs(ab, b, uplo, trans, diag, overwrite_b), positional: parsing
     # keywords costs half as much again as a solve on a small window
@@ -209,6 +236,16 @@ class _BandedFactor:
         """M^-T v."""
         y = dtbtrs(self.upper, v, "U", "T", "N")[0]
         return dtbtrs(self.lower, y, "L", "T", "U", 1)[0]
+
+    def class_top(self, x: int) -> int:
+        """The highest state (0-based) of state x's communicating class.
+
+        Deaths reach every lower state, so the classes are intervals and
+        y tops its class when no state up to y jumps above y.  The
+        elimination only adds magnitudes, so that is when row y of U has
+        nothing right of the diagonal.
+        """
+        return self.tops[bisect_left(self.tops, x)]
 
 
 def solve_qsd(gen: TruncatedGenerator, tol: float = 1e-10,
@@ -226,13 +263,22 @@ def solve_qsd(gen: TruncatedGenerator, tol: float = 1e-10,
     of the residual itself (recorded as residual_floor).  Entries of pi
     below 1e-300 are not resolved and come back as 0.  Raises
     NonConvergenceError after max_iter steps.
+
+    On a reducible window pi lives on the states up to the top of the
+    class that attains lam, and the entries above it only decay (by
+    half a step on pure death, until they pass 1e-300).  Once lam and
+    eta have settled and pi has not, that class is read off the factor
+    as the one holding the peak of pi * eta; the states above it are
+    left out of the stop and come back as exact zeros.
     """
     _check_absorbing_reachable(gen)
     factor = _BandedFactor.of(gen)
     a = gen.active
-    pi = np.full(gen.level, 1.0 / gen.level)
-    eta = np.ones(gen.level)
+    n = gen.level
+    pi = np.full(n, 1.0 / n)
+    eta = np.ones(n)
     lam_prev = math.inf
+    support = None  # pi vanishes above the first `support` states
     for iterations in range(1, max_iter + 1):
         eta_next = factor.solve(eta)
         pi_next = factor.solve_transposed(pi)
@@ -240,12 +286,23 @@ def solve_qsd(gen: TruncatedGenerator, tol: float = 1e-10,
         pi_next /= pi_next.sum()
         eta_next /= eta_next.max()
         settled = (abs(lam - lam_prev) <= tol * lam
-                   and (abs(eta_next - eta) <= tol * eta_next).all()
-                   and ((abs(pi_next - pi) <= tol * pi_next)
-                        | (pi_next <= _UNRESOLVED)).all())
+                   and (abs(eta_next - eta) <= tol * eta_next).all())
+        if settled:
+            pi_settled = ((abs(pi_next - pi) <= tol * pi_next)
+                          | (pi_next <= _UNRESOLVED))
+            settled = pi_settled.all()
+            if not settled:
+                if support is None:
+                    support = 1 + factor.class_top(
+                        int(np.argmax(pi_next * eta_next)))
+                if support < n:
+                    settled = pi_settled[:support].all()
         pi, eta, lam_prev = pi_next, eta_next, lam
         if not settled:
             continue
+        if support is not None and support < n:
+            pi[support:] = 0.0
+            pi /= pi.sum()
         eta_s = eta / float(pi @ eta)
         res_l = float(abs(pi @ a + lam * pi).max())
         res_r = float(abs(a @ eta_s + lam * eta_s).max())
@@ -254,7 +311,7 @@ def solve_qsd(gen: TruncatedGenerator, tol: float = 1e-10,
             pi[pi < _UNRESOLVED] = 0.0
             births = factor.upper.shape[0] > 1
             return QsdSolution(
-                level=gen.level, lam=lam, pi=pi, eta=eta_s,
+                level=n, lam=lam, pi=pi, eta=eta_s,
                 residual_left=res_l, residual_right=res_r,
                 iterations=iterations, residual_floor=floor,
                 reducible_warning=births and bool((pi == 0.0).any()))
@@ -263,7 +320,35 @@ def solve_qsd(gen: TruncatedGenerator, tol: float = 1e-10,
 
 
 # ---------------------------------------------------------------------
-# transient (uniformized) solves
+# transient solves
+
+# exp(tA) v = (1/2 pi i) int e^z (z I - tA)^-1 v dz along a contour that
+# opens to the left around the spectrum of tA.  The nodes are those of
+# the parabola of Trefethen, Weideman & Schmelzer (BIT 46, 2006) for a
+# 2q-point trapezoid rule, z(u) = s - m u^2 + i c u at u = +-1/2, +-3/2,
+# ..., which converges like 2.85^-2q.  A is real, so the nodes below the
+# axis are the conjugates of those above and only q solves are made.
+# s, m and c sit on a 2^-20 grid, so every node and its derivative are
+# exact in binary: a node rounded off the parabola costs eps |z| of its
+# term, and the terms run to e^s |v|.  That rounding floor is about
+# 1e-12 of |v| at q = 40 and 1e-11 at q = 48, so no count past 40 can
+# meet the tolerance, 1e-12 of the result: relative, since a step that
+# keeps e^-30 of v must still be right to the digits the caller rescales
+# (eta_limit_check multiplies by e^(lam t)), and tighter than the 1e-12
+# absolute closed-form checks on a substochastic exp(tA).
+_CONTOUR_TOL = 1e-12
+_NODES_FIRST, _NODES_STEP, _NODES_CAP = 16, 8, 40
+
+
+def _contour_nodes(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes z_k above the axis and weights w_k such that exp(tA) v is
+    2 Re sum_k w_k (z_k I - tA)^-1 v."""
+    s, m, c = (round(x * 2.0 ** 20) / 2.0 ** 20 for x in (
+        0.2618 * q, 0.2388 * math.pi ** 2 / q, 0.5 * math.pi))
+    u = np.arange(q) + 0.5
+    z = s - m * u * u + 1j * (c * u)
+    return z, np.exp(z) * (1j * c - 2.0 * m * u) / (2j * math.pi)
+
 
 _LOG_TINY = -745.0  # below exp() underflow
 
@@ -302,22 +387,110 @@ def _uniformized_action(a: np.ndarray, v: np.ndarray, t: float,
     return acc
 
 
-def survival_profile(gen: TruncatedGenerator, times: Sequence[float]) -> np.ndarray:
-    """P_x(t < tau) for every living state x at each requested time,
-    computed by chaining uniformized steps.  Shape (len(times), N)."""
+class _Transient:
+    """exp(tA) v and exp(tA^T) v on one generator's living block A.
+
+    Each action is the contour sum above, one complex banded LU
+    (zgbtrf) and solve (zgbtrs) per node: A has one sub-diagonal and
+    k_max super-diagonals, and A^T is stored the other way round, so
+    a law that cannot reach a state gets an exact zero there.  The sum
+    certifies itself: q starts at 16 and grows by 8 until two
+    consecutive sums agree to 1e-12 of the result, in the norm it lives
+    in (sup norm for survival, total mass for laws).  It gives up once
+    their gap stops shrinking, or past q = 40, where the rounding of the
+    sum alone passes the tolerance; that step is then uniformized as
+    before, the only other method.  The rounding scales with |v|, so a
+    step that keeps too little of v to be resolved falls back too.
+    Non-normal blocks need the fallback: on pure death at N = 1000 the
+    sums are off by up to 1e94.  exp(tA) is entrywise nonnegative, so a
+    certified sum is clipped at 0.
+
+    The band is read once, the dense block and the uniformization rate
+    only on a first fallback.  Each sum factors its nodes as it goes and
+    drops them.
+    """
+
+    def __init__(self, gen: TruncatedGenerator):
+        self.gen = gen
+        self.diags = _band(gen)
+
+    @cached_property
+    def dense(self) -> np.ndarray:
+        return np.ascontiguousarray(self.gen.active)
+
+    @cached_property
+    def lam_unif(self) -> float:
+        return self.gen.uniformization_rate()
+
+    def action(self, v: np.ndarray, t: float,
+               transpose: bool = False) -> np.ndarray:
+        if t < 0:
+            raise SolverError("transient solve needs t >= 0")
+        if t == 0:
+            return v.copy()
+        out = self._certified(v, t, transpose)
+        if out is None:
+            return _uniformized_action(self.dense, v, t, self.lam_unif,
+                                       transpose)
+        return np.maximum(out, 0.0, out=out)
+
+    def _certified(self, v: np.ndarray, t: float,
+                   transpose: bool) -> np.ndarray | None:
+        order = 1 if transpose else math.inf
+        prev, gap_prev = None, math.inf
+        for q in range(_NODES_FIRST, _NODES_CAP + 1, _NODES_STEP):
+            cur = self._sum(v, t, transpose, q)
+            if prev is not None:
+                gap = float(np.linalg.norm(cur - prev, order))
+                if gap <= _CONTOUR_TOL * float(np.linalg.norm(cur, order)):
+                    return cur
+                if not gap < gap_prev:
+                    return None
+                gap_prev = gap
+            prev = cur
+        return None
+
+    def _sum(self, v: np.ndarray, t: float, transpose: bool,
+             q: int) -> np.ndarray:
+        """2 Re sum_k w_k (z_k I - tA)^-1 v over q nodes (A^T when
+        transposed)."""
+        n, k = self.gen.level, len(self.diags) - 2
+        kl, ku = (k, 1) if transpose else (1, k)
+        # -tA in LAPACK band storage, column-major so zgbtrf works in place
+        shifted = np.zeros((2 * kl + ku + 1, n), complex, order="F")
+        for j, d in enumerate(self.diags, -1):
+            j = -j if transpose else j
+            shifted[kl + ku - j, max(j, 0):n + min(j, 0)] = -t * d
+        rhs = v.astype(complex).reshape(-1, 1)
+        acc = np.zeros(n, complex)
+        for z, w in zip(*_contour_nodes(q)):
+            m = shifted.copy(order="F")
+            m[kl + ku] += z
+            lu, piv, _ = zgbtrf(m, kl, ku, overwrite_ab=1)
+            acc += w * zgbtrs(lu, kl, ku, rhs, piv)[0][:, 0]
+        return 2.0 * acc.real
+
+
+def _profile(transient: _Transient, times: Sequence[float]) -> np.ndarray:
     ts = [float(t) for t in times]
     if any(t < 0 for t in ts) or ts != sorted(ts):
         raise SolverError("times must be non-decreasing and >= 0")
-    a = np.ascontiguousarray(gen.active)
-    lam_unif = gen.uniformization_rate()
-    v = np.ones(a.shape[0])
-    out = np.empty((len(ts), a.shape[0]))
+    v = np.ones(transient.gen.level)
+    out = np.empty((len(ts), len(v)))
     prev = 0.0
     for i, t in enumerate(ts):
-        v = _uniformized_action(a, v, t - prev, lam_unif)
+        v = transient.action(v, t - prev)
         out[i] = v
         prev = t
     return out
+
+
+def survival_profile(gen: TruncatedGenerator, times: Sequence[float]) -> np.ndarray:
+    """P_x(t < tau) for every living state x at each requested time,
+    chaining exp((t_i - t_(i-1)) A) from the all-ones vector (each step
+    a certified contour sum, or uniformized; see _Transient).  Shape
+    (len(times), N)."""
+    return _profile(_Transient(gen), times)
 
 
 @dataclass(frozen=True, eq=False)
@@ -335,30 +508,31 @@ def conditional_evolution(gen: TruncatedGenerator, mu0: np.ndarray,
     """Push a distribution on {1..N} forward and renormalize at
     times j t/steps, j = 1..steps.
 
-    The forward equation is driven by the adjoint of the living block.
-    Mass is renormalized after every step and tracked in log space, so
-    long horizons report survival accurately instead of underflowing;
-    a single step that loses all representable mass is an error.
+    The forward equation is driven by the adjoint of the living block:
+    each step is exp(dt A^T), a certified contour sum or uniformized
+    (see _Transient).  Mass is renormalized after every step and
+    tracked in log space, so long horizons report survival accurately
+    instead of underflowing; a single step that loses all representable
+    mass is an error.
     """
     if steps < 1:
         raise SolverError("steps must be >= 1")
     if t < 0:
         raise SolverError("t must be >= 0")
-    a = np.ascontiguousarray(gen.active)
-    n = a.shape[0]
+    n = gen.level
     mu = np.asarray(mu0, dtype=float).copy()
     if mu.shape != (n,):
         raise SolverError(f"mu0 must live on the {n} active states")
     if np.any(mu < 0) or mu.sum() <= 0:
         raise SolverError("mu0 must be a nonnegative vector with mass")
     mu /= mu.sum()
-    lam_unif = gen.uniformization_rate()
+    transient = _Transient(gen)
     dt = t / steps
     laws = np.empty((steps, n))
     survival = np.empty(steps)
     log_mass = 0.0
     for j in range(steps):
-        mu = _uniformized_action(a, mu, dt, lam_unif, transpose=True)
+        mu = transient.action(mu, dt, transpose=True)
         mass = float(mu.sum())
         if not mass > 0:
             raise SolverError(
@@ -397,12 +571,14 @@ def eta_limit_check(gen: TruncatedGenerator, qsd: QsdSolution,
     is reported; under the standing assumptions it decays exponentially
     and the fitted rate approximates the spectral gap.  Optional probe
     states additionally track the TV distance of the conditional law
-    to pi.
+    to pi.  The profile and the probes go through one set of transient
+    solves (see _Transient), which reads the band once for all of them.
     """
     ts = sorted(float(t) for t in times)
     if not ts:
         raise SolverError("need at least one time")
-    prof = survival_profile(gen, ts)
+    transient = _Transient(gen)
+    prof = _profile(transient, ts)
     dev = tuple(
         float(np.max(np.abs(math.exp(qsd.lam * t) * prof[i] - qsd.eta)))
         for i, t in enumerate(ts))
@@ -416,10 +592,8 @@ def eta_limit_check(gen: TruncatedGenerator, qsd: QsdSolution,
         tvs = []
         mu = delta
         prev = 0.0
-        a = np.ascontiguousarray(gen.active)
-        lam_unif = gen.uniformization_rate()
         for t in ts:
-            mu = _uniformized_action(a, mu, t - prev, lam_unif, transpose=True)
+            mu = transient.action(mu, t - prev, transpose=True)
             mass = float(mu.sum())
             if not mass > 0:
                 raise SolverError(

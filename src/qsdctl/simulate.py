@@ -32,7 +32,7 @@ import math
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -244,12 +244,13 @@ def _stream(seed: int, index: int) -> np.random.Generator:
 class _RateTable:
     """Lazy per-state rates as Python lists indexed by state: fill(size)
     gives one array per rate on 0..size-1, refilled at double the size
-    as states grow."""
+    as states grow.  cdfs[a] is action a's progeny cdf as a list."""
 
     def __init__(self, fill: Callable[[int], Sequence[np.ndarray]],
-                 initial: int = 1024):
+                 cdfs: Mapping[int, list[float]], initial: int):
         self._fill = fill
         self.rows = [row.tolist() for row in fill(initial)]
+        self.cdfs = cdfs
 
     def cover(self, n: int) -> list[list[float]]:
         """The rows, grown to reach state n."""
@@ -260,17 +261,24 @@ class _RateTable:
         return self.rows
 
 
-def _markov_tables(model: ModelSpec, control: MarkovControl) -> _RateTable:
-    """(birth, death, cost) rows under a stationary control; states
-    above the control's range reuse its top action."""
+def _markov_tables(model: ModelSpec, control: MarkovControl,
+                   size: int = 1024) -> _RateTable:
+    """(birth, death, cost) rows on 0..size-1 under a stationary
+    control, with the cdfs of the actions it uses; states above the
+    control's range reuse its top action."""
     return _RateTable(lambda size: [
         _control_rates(model, control, size - 1, (role,))[1][0]
-        for role in ("birth", "death", "cost")])
+        for role in ("birth", "death", "cost")],
+        {a: model.progeny.cdf(a).tolist() for a in set(control.assignment)},
+        size)
 
 
-def _envelope_table(model: ModelSpec) -> _RateTable:
-    """(b_bar * n, d_bar(n)) rows: the thinning proposal rates."""
-    return _RateTable(lambda size: model.envelope_tables(size - 1))
+def _envelope_table(model: ModelSpec, size: int = 1024) -> _RateTable:
+    """(b_bar * n, d_bar(n)) rows on 0..size-1: the thinning proposal
+    rates, with every action's cdf."""
+    return _RateTable(lambda size: model.envelope_tables(size - 1),
+                      [model.progeny.cdf(a).tolist()
+                       for a in range(model.num_actions)], size)
 
 
 def simulate_markov(model: ModelSpec, control: MarkovControl, x0: int,
@@ -288,12 +296,13 @@ def simulate_markov(model: ModelSpec, control: MarkovControl, x0: int,
         return Trajectory(0, (), TERMINAL_ABSORBED, 0.0)
     rng = _stream(config.seed, stream_index)
     exponential, uniform = rng.exponential, rng.random
-    table = _tables or _markov_tables(model, control)
+    # a path of its own sizes its table from the start state
+    table = _tables or _markov_tables(model, control, 2 * x0 + 2)
     births, deaths, _ = table.cover(x0)
     size = len(births)
     assignment = control.assignment
     top = len(assignment)
-    cdfs = {a: model.progeny.cdf(a).tolist() for a in set(assignment)}
+    cdfs = table.cdfs
     k_max = model.progeny.k_max
     horizon = math.inf if config.horizon is None else config.horizon
     cap = config.state_cap
@@ -363,10 +372,10 @@ def simulate_thinning(model: ModelSpec, policy: HistoryPolicy, x0: int,
     rng = _stream(config.seed, stream_index)
     exponential, uniform, rule = rng.exponential, rng.random, policy.rule
     m = model.num_actions
-    table = _tables or _envelope_table(model)
+    table = _tables or _envelope_table(model, 2 * x0 + 2)
     benvs, denvs = table.cover(x0)
     size = len(benvs)
-    cdfs = [model.progeny.cdf(a).tolist() for a in range(m)]
+    cdfs = table.cdfs
     k_max = model.progeny.k_max
     # per action, state -> (birth rate, cdf scaled by it) / death rate
     birth_memo: list[dict] = [{} for _ in range(m)]

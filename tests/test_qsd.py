@@ -13,7 +13,8 @@ from qsdctl.expressions import parse_rate_expression as rx
 from qsdctl.generator import build_generator
 from qsdctl.models import (Action, ControlSet, HypothesisConstants,
                            MarkovControl, ModelSpec, ProgenyDist)
-from qsdctl.qsd import (conditional_evolution, eta_limit_check,
+from qsdctl.qsd import (_Transient, _uniformized_action,
+                        conditional_evolution, eta_limit_check,
                         lyapunov_threshold, solve_qsd, survival_profile,
                         total_variation, truncation_sweep)
 
@@ -345,3 +346,128 @@ def test_matches_dense_eig_under_mixed_controls(level, k_max, actions, seed):
     assert total_variation(sol.pi, pi) <= 1e-8
     np.testing.assert_allclose(sol.eta, eta, rtol=0, atol=1e-8)
     assert np.all(sol.pi > 0) and np.all(sol.eta > 0)
+
+
+class TestPureDeathStop:
+    def test_point_mass_in_few_steps(self, pd_gen):
+        # pi(2..) only halves each step; it is a structural zero, so the
+        # stop must not wait for it to pass 1e-300
+        sol = solve_qsd(pd_gen)
+        assert sol.iterations < 50
+        expect = np.zeros(200)
+        expect[0] = 1.0
+        assert np.array_equal(sol.pi, expect)
+
+
+# transient solves: a certified contour sum of the banded resolvent,
+# uniformized where the certificate fails
+
+
+def kendall_survival(x, t, birth=2.0, death=3.0):
+    """Linear birth-death (the bundled `linear`): each of x lines dies
+    out by t with probability d (1 - e) / (d - b e), e = e^-(d-b)t."""
+    e = math.exp(-(death - birth) * t)
+    return 1.0 - (death * (1.0 - e) / (death - birth * e)) ** x
+
+
+@settings(max_examples=30, deadline=None)
+@given(**MIXED_CONTROL_CHAINS)
+def test_transients_match_expm_under_mixed_controls(level, k_max, actions,
+                                                    seed):
+    gen = mixed_control_generator(level, k_max, actions, seed)
+    a = gen.active
+    mu0 = np.random.default_rng(seed).random(level)
+    mu = mu0 / mu0.sum()
+    for t in (0.05, 0.4, 1.1, 2.5):
+        e = scipy.linalg.expm(t * a)
+        # survival: sup norm, |v| = 1
+        prof = survival_profile(gen, [t])[0]
+        np.testing.assert_allclose(prof, e @ np.ones(level), rtol=0,
+                                   atol=1e-12)
+        # laws: total mass, |mu| = 1
+        evo = conditional_evolution(gen, mu0, t)
+        assert np.abs(evo.laws[0] * evo.survival[0] - mu @ e).sum() <= 1e-12
+    # equal steps chain to the same answers
+    evo = conditional_evolution(gen, mu0, 2.0, steps=4)
+    for j, tj in enumerate(evo.times):
+        exact = mu @ scipy.linalg.expm(tj * a)
+        assert evo.survival[j] == pytest.approx(exact.sum(), rel=1e-10)
+        np.testing.assert_allclose(evo.laws[j], exact / exact.sum(),
+                                   rtol=0, atol=1e-10)
+
+
+class TestTransientPaths:
+    # pure_death 200 and linear 400 are far from normal: their sums need
+    # q = 32-40, at the rounding floor, so some of these steps certify
+    # and the rest are uniformized; the closed form holds either way
+    @pytest.mark.parametrize("t", [0.7, 1.3, 2.0])
+    def test_pure_death_closed_form(self, pd_gen, t):
+        xs = np.arange(1, 201)
+        prof = survival_profile(pd_gen, [t])[0]
+        np.testing.assert_allclose(prof, 1 - (1 - math.exp(-t)) ** xs,
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("t", [0.7, 1.3, 2.0])
+    def test_linear_400_closed_form(self, linear, t):
+        gen = build_generator(linear, linear.constant_control(0, 400), 400)
+        prof = survival_profile(gen, [t])[0]
+        # Kendall's form is for the untruncated chain; from x <= 20 the
+        # window edge at 400 is out of reach
+        exact = [kendall_survival(x, t) for x in range(1, 21)]
+        np.testing.assert_allclose(prof[:20], exact, rtol=0, atol=1e-12)
+
+    def test_certificate_raises_q(self, linear):
+        # on linear 120 at t = 0.7 sixteen nodes are off by ~1e-9; the
+        # certificate goes on to 32 and meets 1e-12
+        gen = build_generator(linear, linear.constant_control(0, 120), 120)
+        ones = np.ones(120)
+        exact = scipy.linalg.expm(0.7 * gen.active) @ ones
+        transient = _Transient(gen)
+        assert np.abs(transient._sum(ones, 0.7, False, 16)
+                      - exact).max() > 1e-10
+        certified = transient._certified(ones, 0.7, False)
+        assert np.abs(certified - exact).max() <= 1e-12
+
+    def test_non_normal_falls_back_to_uniformization(self, pure_death):
+        # pure death at N = 1000 is far from normal: the contour sums
+        # never agree, so the action is the uniformized one, bit for bit
+        gen = build_generator(pure_death, pure_death.constant_control(0, 1000),
+                              1000)
+        ones = np.ones(1000)
+        assert _Transient(gen)._certified(ones, 1.0, False) is None
+        prof = survival_profile(gen, [1.0])[0]
+        a = np.ascontiguousarray(gen.active)
+        assert np.array_equal(
+            prof, _uniformized_action(a, ones, 1.0, gen.uniformization_rate()))
+        xs = np.arange(1, 1001)
+        np.testing.assert_allclose(prof, 1 - (1 - math.exp(-1.0)) ** xs,
+                                   rtol=0, atol=1e-12)
+
+    def test_unreachable_states_are_exact_zeros(self, pd_gen):
+        # the transposed band of pure death is upper bidiagonal, so the
+        # law from 3 is computed without touching the states above it
+        mu0 = np.zeros(200)
+        mu0[2] = 1.0
+        assert _Transient(pd_gen)._certified(mu0, 1.3, True) is not None
+        evo = conditional_evolution(pd_gen, mu0, 1.3)
+        assert not evo.laws[0][3:].any()
+
+    @pytest.mark.parametrize("t", [40.0, 60.0])
+    def test_long_step_accurate_relative_to_result(self, culling, t):
+        # culling 6 under keep (lam ~ 0.4746) keeps about e^-28 of v at
+        # t = 60, below the sum's rounding of ~1e-13 |v|: the certificate
+        # is measured against the result, so the step is uniformized and
+        # stays accurate entry by entry
+        gen = build_generator(culling, culling.constant_control(0), 6)
+        e = scipy.linalg.expm(t * gen.active)
+        ones = np.ones(6)
+        assert _Transient(gen)._certified(ones, t, False) is None
+        np.testing.assert_allclose(survival_profile(gen, [t])[0], e @ ones,
+                                   rtol=1e-10, atol=0)
+        mu0 = np.zeros(6)
+        mu0[2] = 1.0
+        exact = mu0 @ e
+        evo = conditional_evolution(gen, mu0, t, steps=1)
+        assert evo.survival[0] == pytest.approx(exact.sum(), rel=1e-10)
+        np.testing.assert_allclose(evo.laws[0], exact / exact.sum(),
+                                   rtol=1e-10, atol=0)

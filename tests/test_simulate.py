@@ -362,6 +362,43 @@ class TestThinning:
             assert calls
             assert len(calls) == len(set(calls))
 
+    def test_own_tables_sized_from_the_start(self, culling, monkeypatch):
+        # a path without shared tables fills states 0..2 x0 + 1 (not a
+        # fixed 1024) and doubles from there as it climbs
+        model_type = type(culling)
+        envelope, vector = model_type.envelope_tables, model_type._vector
+        sizes = []
+
+        def envelope_sizes(model, n_max):
+            sizes.append(n_max)
+            return envelope(model, n_max)
+
+        def vector_sizes(model, expr, role, action, states):
+            sizes.append(int(np.max(states)))
+            return vector(model, expr, role, action, states)
+        monkeypatch.setattr(model_type, "envelope_tables", envelope_sizes)
+        monkeypatch.setattr(model_type, "_vector", vector_sizes)
+        cfg = SimConfig(seed=5, horizon=0.01)
+        simulate_thinning(culling, policies.peak_threshold(5, 0, 1), 4, cfg)
+        assert sizes == [9]
+        sizes.clear()
+        simulate_markov(culling, culling.constant_control(0), 4, cfg)
+        assert sizes == [9, 9, 9]
+
+    def test_progeny_cdfs_built_once_per_table(self, culling, monkeypatch):
+        # once for all 40 paths, and only for the action the control uses
+        calls = []
+        progeny_type = type(culling.progeny)
+        cdf = progeny_type.cdf
+
+        def counted(progeny, action):
+            calls.append(action)
+            return cdf(progeny, action)
+        monkeypatch.setattr(progeny_type, "cdf", counted)
+        estimate_survival(culling, culling.constant_control(0), 3, [1.0],
+                          SimConfig(seed=2, samples=40))
+        assert calls == [0]
+
     @pytest.mark.parametrize("argv", [
         ["--rule", "peak:5,0,1"], ["--control", "cull"]])
     def test_cli_builds_tables_once_per_run(self, tmp_path, argv,
