@@ -22,7 +22,7 @@ from .errors import (AllControlsInfeasibleError, CapExceededError,
                      SimulationError, SolverError, ThresholdNotFoundError,
                      UnknownIdentifierError, ZeroSurvivorsError)
 from .expressions import RateExpr, parse_rate_expression
-from .generator import (TruncatedGenerator, adjoint, build_generator,
+from .generator import (TruncatedGenerator, build_generator,
                         enumerate_markov_controls)
 from .hjb import (PolicyIterationTrace, TransversalityCheck, ValueSolution,
                   evaluate_policy, hjb_residual, improve_policy,

@@ -20,6 +20,7 @@ arrays for the bound variables.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Mapping, Union
@@ -190,18 +191,19 @@ class _Parser:
 
 
 def _eval(node: Node, env: Mapping[str, object]):
-    # scalars are coerced to np.float64 so every operation is total in
-    # the IEEE sense: x/0, 0^-1 and (-x)^0.5 yield inf or nan instead
-    # of raising or going complex, exactly like the array path.  Model
-    # validation turns non-finite rates into errors with a witness.
+    # scalars are Python floats, so no numpy call is made per operation,
+    # and every operation is total in the IEEE sense: where Python raises
+    # (x/0, 0^-1, (-x)^0.5, a power that overflows) numpy computes the
+    # inf or nan instead, exactly like the array path.  Model validation
+    # turns non-finite rates into errors with a witness.
     if isinstance(node, Lit):
-        return np.float64(node.value)
+        return node.value
     if isinstance(node, Var):
         try:
             v = env[node.name]
         except KeyError:
             raise UnknownIdentifierError(node.name) from None
-        return v if isinstance(v, np.ndarray) else np.float64(v)
+        return v if isinstance(v, np.ndarray) else float(v)
     if isinstance(node, Neg):
         return -_eval(node.operand, env)
     if isinstance(node, BinOp):
@@ -214,12 +216,15 @@ def _eval(node: Node, env: Mapping[str, object]):
         if node.op == "*":
             return a * b
         if node.op == "/":
-            return a / b
-        return a ** b
+            try:
+                return a / b
+            except ZeroDivisionError:
+                return _ieee(operator.truediv, a, b)
+        return _pow(a, b)
     # Call
     args = [_eval(a, env) for a in node.args]
     if node.func == "pow":
-        return args[0] ** args[1]
+        return _pow(args[0], args[1])
     vectorized = any(isinstance(a, np.ndarray) for a in args)
     if node.func == "min":
         if vectorized:
@@ -234,6 +239,22 @@ def _eval(node: Node, env: Mapping[str, object]):
             out = np.maximum(out, a)
         return out
     return max(args)
+
+
+def _pow(a, b):
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return a ** b
+    try:
+        return math.pow(a, b)
+    except (ValueError, OverflowError):
+        return _ieee(operator.pow, a, b)
+
+
+def _ieee(op, a: float, b: float) -> float:
+    """op on two scalars in numpy's float64 arithmetic, which returns the
+    inf or nan where Python raises."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return float(op(np.float64(a), np.float64(b)))
 
 
 # precedence levels used by the printer; atoms sit above everything
@@ -306,9 +327,14 @@ class RateExpr:
         """Evaluate under the bindings in env.  Values may be floats or
         numpy arrays; mixing is allowed.  Pure and total: numeric edge
         cases come back as inf/nan rather than raising, and identical
-        input gives bit-identical output."""
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return _eval(self.root, env)
+        input gives bit-identical output.  Scalars are evaluated in
+        Python floats and come back as one."""
+        for v in env.values():
+            if isinstance(v, np.ndarray):
+                with np.errstate(divide="ignore", over="ignore",
+                                 invalid="ignore"):
+                    return _eval(self.root, env)
+        return _eval(self.root, env)
 
     def variables(self) -> frozenset[str]:
         out: set[str] = set()

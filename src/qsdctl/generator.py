@@ -7,10 +7,6 @@ state N itself would be a self-loop; self-loops carry no information in
 a generator, so that mass cancels against the diagonal and the
 effective outflow at N is the death rate alone.  Row 0 is identically
 zero (absorbing).
-
-The adjoint acts on measures: entry (x, y) of the adjoint is entry
-(y, x) of the generator, so applying it to a distribution gives the
-time derivative of the state law.
 """
 
 from __future__ import annotations
@@ -24,7 +20,7 @@ import numpy as np
 from .errors import CapExceededError, ModelError
 from .models import MarkovControl, ModelSpec
 
-__all__ = ["TruncatedGenerator", "build_generator", "adjoint",
+__all__ = ["TruncatedGenerator", "build_generator",
            "enumerate_markov_controls"]
 
 
@@ -111,12 +107,6 @@ def build_generator(model: ModelSpec, control: MarkovControl,
     q[xs, xs] = 0.0  # a lumped self-loop at N carries no information
     q[xs, xs] = -q[1:].sum(axis=1)
     return TruncatedGenerator(n, q)
-
-
-def adjoint(gen: TruncatedGenerator) -> np.ndarray:
-    """Transpose of the generator; drives the forward (measure-side)
-    evolution mu' = adjoint @ mu."""
-    return gen.matrix.T.copy()
 
 
 def enumerate_markov_controls(model: ModelSpec, level: int,

@@ -14,10 +14,10 @@ import json
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import cache
 from pathlib import Path
 
 import numpy
-import scipy
 
 __all__ = ["file_sha256", "RunManifest"]
 
@@ -34,12 +34,26 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
+@cache
 def _version() -> str:
+    """qsdctl's installed version, looked up once per process."""
     try:
         from importlib.metadata import version
         return version("qsdctl")
     except Exception:
         return "unknown"
+
+
+def _versions() -> dict[str, str]:
+    # scipy is imported here, not at the top: its version is all a
+    # manifest needs, and `import scipy` alone loads none of scipy.linalg
+    import scipy
+    return {
+        "qsdctl": _version(),
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+        "python": sys.version.split()[0],
+    }
 
 
 @dataclass
@@ -50,12 +64,7 @@ class RunManifest:
     finished: str | None = None
     inputs: dict[str, str] = field(default_factory=dict)
     outputs: dict[str, str] = field(default_factory=dict)
-    versions: dict[str, str] = field(default_factory=lambda: {
-        "qsdctl": _version(),
-        "numpy": numpy.__version__,
-        "scipy": scipy.__version__,
-        "python": sys.version.split()[0],
-    })
+    versions: dict[str, str] = field(default_factory=_versions)
 
     def add_input(self, path: str | Path):
         self.inputs[str(path)] = file_sha256(path)

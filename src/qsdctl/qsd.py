@@ -28,6 +28,9 @@ such as pure death on a wide window) the step is uniformized instead
 (P = I + L/Lam with Lam just above the largest exit rate), with
 log-space Poisson weights so stiff models and long horizons do not
 underflow.
+
+scipy's LAPACK is imported by _lapack on the first factorization, not
+with this module, so code that never factors never loads scipy.linalg.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dtbtrs, zgbtrf, zgbtrs
 
 from .errors import ModelError, NonConvergenceError, SolverError, ThresholdNotFoundError
 from .generator import TruncatedGenerator, _jump_table, build_generator
@@ -121,6 +123,19 @@ def _residual_floor(norm_a: float, x: np.ndarray) -> float:
     return 8 * _EPS * norm_a * (1.0 + float(abs(x).max()))
 
 
+# scipy's LAPACK routines, bound by _lapack on the first factorization
+dtbtrs = zgbtrf = zgbtrs = None
+
+
+def _lapack():
+    """Bind dtbtrs, zgbtrf and zgbtrs.  Importing scipy.linalg is most of
+    the cost of importing qsdctl, so it waits for the first factor; the
+    solves then read the module globals as if imported at the top."""
+    global dtbtrs, zgbtrf, zgbtrs
+    if zgbtrs is None:
+        from scipy.linalg.lapack import dtbtrs, zgbtrf, zgbtrs
+
+
 _NOT_BIRTH_DEATH = ("living block is not a birth-death generator with one "
                     "death step and nonnegative rates")
 
@@ -172,6 +187,7 @@ class _BandedFactor:
     @classmethod
     def of(cls, gen: TruncatedGenerator, shift: float = 0.0
            ) -> "_BandedFactor":
+        _lapack()
         diags = _band(gen)
         n = gen.level
         k = len(diags) - 2
@@ -411,6 +427,7 @@ class _Transient:
     """
 
     def __init__(self, gen: TruncatedGenerator):
+        _lapack()
         self.gen = gen
         self.diags = _band(gen)
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -52,6 +53,13 @@ class TestEvaluation:
         # numpy's simd pow loop and its scalar pow may differ by an ulp
         np.testing.assert_allclose(vec, scal, rtol=4e-16, atol=0)
 
+    def test_scalars_in_float64_arithmetic(self):
+        f = np.float64
+        assert ev("kd * n^1.8 / 3 - n", kd=1.5, n=7.3) == (
+            f(1.5) * f(7.3) ** f(1.8) / f(3) - f(7.3))
+        assert ev("pow(n, 0.3) + 1 / n", n=0.7) == (
+            f(0.7) ** f(0.3) + f(1) / f(0.7))
+
     def test_unknown_identifier(self):
         with pytest.raises(UnknownIdentifierError):
             ev("kd * n", n=2.0)
@@ -59,6 +67,31 @@ class TestEvaluation:
     def test_variables_reported(self):
         e = parse_rate_expression("min(n, kd) + q0")
         assert e.variables() == {"n", "kd", "q0"}
+
+
+class TestTotality:
+    """IEEE edge cases come back as inf or nan, with no warning, for
+    scalars and arrays alike."""
+
+    @pytest.mark.parametrize("text, expected", [
+        ("n / 0", math.inf),
+        ("-n / 0", -math.inf),
+        ("0 / 0", math.nan),
+        ("(n - n) / (n - n)", math.nan),
+        ("n * 1e300 * 1e300", math.inf),      # product overflows
+        ("n ^ 400", math.inf),                # power overflows
+        ("pow(0, -n)", math.inf),
+        ("(0 - n) ^ 0.5", math.nan),
+        ("n / 0 - n / 0", math.nan),
+    ])
+    def test_no_warning(self, text, expected):
+        e = parse_rate_expression(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scalar = e.evaluate({"n": 10.0})
+            vector = e.evaluate({"n": np.array([10.0, 10.0])})
+        np.testing.assert_array_equal(scalar, expected)
+        np.testing.assert_array_equal(vector, [expected] * 2)
 
 
 class TestSyntaxErrors:

@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from qsdctl.errors import CapExceededError, ModelError
 from qsdctl.expressions import parse_rate_expression as rx
-from qsdctl.generator import (adjoint, build_generator,
-                              enumerate_markov_controls)
+from qsdctl.generator import build_generator, enumerate_markov_controls
 from qsdctl.hjb import hjb_residual, policy_iteration
 from qsdctl.models import (Action, ControlSet, HypothesisConstants,
                            MarkovControl, ModelSpec, ProgenyDist)
@@ -92,10 +91,6 @@ class TestStructure:
         gen = build_generator(culling, culling.constant_control(1), 6)
         assert gen.uniformization_rate() >= gen.max_exit_rate()
         assert gen.max_exit_rate() == pytest.approx(1.5 * 36 + 0.0)
-
-    def test_adjoint_is_transpose(self, culling):
-        gen = build_generator(culling, culling.constant_control(0), 6)
-        np.testing.assert_array_equal(adjoint(gen), gen.matrix.T)
 
     def test_control_must_cover_window(self, culling):
         with pytest.raises(ModelError):
