@@ -4,7 +4,9 @@ discounted problem.
 Three independent routes cross-check each other here:
 
 * brute-force enumeration of every stationary control on a small
-  window (rates by eigen-solve, values by linear solve);
+  window: rates and profiles by one stacked inverse iteration over the
+  living blocks of all controls (equal to solve_qsd's to the bit),
+  values by one linear solve per control;
 * a discount continuation that pushes beta toward the feasible
   frontier of the discounted problem, where the optimizing policy
   freezes onto a rate-extremal control;
@@ -21,10 +23,12 @@ import numpy as np
 
 from .errors import (AllControlsInfeasibleError, ContinuationStalledError,
                      InfeasibleBetaError, ModelError)
-from .generator import build_generator, enumerate_markov_controls
+from .generator import (_action_jumps, _control_assignments,
+                        _stacked_band, build_generator,
+                        enumerate_markov_controls)
 from .hjb import _cost_vector, evaluate_policy, policy_iteration
 from .models import MarkovControl, ModelSpec
-from .qsd import solve_qsd
+from .qsd import _solve_qsd_stacked, solve_qsd
 from .simulate import (HistoryPolicy, MonteCarloEstimate, SimConfig,
                        _envelope_table, discounted_survival_integral,
                        simulate_thinning)
@@ -46,7 +50,9 @@ def _check_objective(objective: str):
 
 @dataclass(frozen=True, eq=False)
 class EnumerationResult:
-    """Exhaustive sweep over stationary controls on a window."""
+    """Exhaustive sweep over stationary controls on a window.  With
+    keep_all, every control's rate, quasi-stationary law pi and profile
+    eta (rows in enumeration order) come along."""
 
     objective: str
     lam: float
@@ -54,6 +60,13 @@ class EnumerationResult:
     count: int
     lams: np.ndarray | None = None               # per control, enum order
     controls: tuple[MarkovControl, ...] | None = None
+    pis: np.ndarray | None = None                # (count, level)
+    etas: np.ndarray | None = None               # (count, level)
+
+
+# states per stacked factor in an enumeration: bounds the memory of one
+# chunk of controls (a few arrays of this many states times k_max + 1)
+_STACK_STATES = 1 << 15
 
 
 def brute_force_control_opt(model: ModelSpec, objective: str = "max",
@@ -62,17 +75,40 @@ def brute_force_control_opt(model: ModelSpec, objective: str = "max",
                             ) -> EnumerationResult:
     """Extremal extinction rate by solving every stationary control on
     the window.  Ties break to the earliest control in enumeration
-    order (all-zeros first)."""
+    order (all-zeros first).
+
+    Each action's rates are evaluated once on the window and gathered
+    per control; the controls' living blocks go in chunks of at most
+    _STACK_STATES states into one stacked inverse iteration
+    (qsd._solve_qsd_stacked), whose rates are solve_qsd's to the bit.
+    """
     _check_objective(objective)
     level = model.level if level is None else int(level)
-    controls = list(enumerate_markov_controls(model, level, cap))
-
-    lams = np.array([solve_qsd(build_generator(model, c, level), tol=tol).lam
-                     for c in controls])
+    # refuses an oversized window before any rate is evaluated
+    controls = enumerate_markov_controls(model, level, cap)
+    m = model.num_actions
+    count = m ** level
+    jumps = _action_jumps(model, level)
+    lams = np.empty(count)
+    pis = etas = None
+    if keep_all:
+        pis, etas = np.empty((count, level)), np.empty((count, level))
+    chunk = max(1, _STACK_STATES // level)
+    for start in range(0, count, chunk):
+        stop = min(start + chunk, count)
+        band = _stacked_band(
+            jumps, _control_assignments(m, level, start, stop))
+        lam, pi, eta, _ = _solve_qsd_stacked(*band, tol=tol)
+        lams[start:stop] = lam
+        if keep_all:
+            pis[start:stop], etas[start:stop] = pi, eta
     best = int(np.argmax(lams)) if objective == "max" else int(np.argmin(lams))
+    control = MarkovControl(
+        tuple(_control_assignments(m, level, best, best + 1)[0]))
     return EnumerationResult(
-        objective, float(lams[best]), controls[best], len(controls),
-        lams if keep_all else None, tuple(controls) if keep_all else None)
+        objective, float(lams[best]), control, count,
+        lams if keep_all else None, tuple(controls) if keep_all else None,
+        pis, etas)
 
 
 def brute_force_value_opt(model: ModelSpec, beta: float, mode: str,
@@ -277,14 +313,16 @@ def limit_theorem_check(model: ModelSpec, objective: str = "max", x: int = 1,
     enum = brute_force_control_opt(model, objective, level, cap, keep_all=True)
     lam = enum.lam
 
+    # f(x, c(x)) for every control: every pair (action, state) occurs in
+    # one, so the sup over controls is the sup of the cost table
+    xs = np.arange(1, level + 1)
+    costs = np.array([model._vector(model.cost, "cost", a, xs)
+                      for a in range(model.num_actions)])
+    f_sup = max(0.0, float(costs.max()))
     side = []
-    f_sup = 0.0
-    for c, lam_c in zip(enum.controls, enum.lams):
-        f = _cost_vector(model, c, level)
-        f_sup = max(f_sup, float(f.max()))
-        if abs(lam_c - lam) <= rate_tol:
-            q = solve_qsd(build_generator(model, c, level))
-            side.append(float(q.pi @ f[1:]) * float(q.eta[x - 1]))
+    for i in np.flatnonzero(abs(enum.lams - lam) <= rate_tol):
+        f = costs[enum.controls[i].assignment, xs - 1]
+        side.append(float(enum.pis[i] @ f) * float(enum.etas[i, x - 1]))
     reference = min(side) if hjb_mode == "min" else max(side)
     inconclusive = reference < rate_tol * f_sup
 

@@ -109,6 +109,52 @@ def build_generator(model: ModelSpec, control: MarkovControl,
     return TruncatedGenerator(n, q)
 
 
+def _action_jumps(model: ModelSpec, level: int) -> np.ndarray:
+    """_jump_table's rates on 1..level under every action: (m, level,
+    k_max + 1), each action's formulas evaluated once on the whole
+    window.  Raises ModelError on a negative or non-finite rate, naming
+    the first in action order, then state order."""
+    xs = np.arange(1, level + 1)
+    return np.array([
+        _jump_table(model._vector(model.birth, "birth", a, xs),
+                    model._vector(model.death, "death", a, xs),
+                    model.progeny.pmf(a), level)[1]
+        for a in range(model.num_actions)])
+
+
+def _control_assignments(num_actions: int, level: int, start: int,
+                         stop: int) -> np.ndarray:
+    """Rows start..stop-1 of the lexicographic enumeration of controls
+    on 1..level (the order of enumerate_markov_controls), as action
+    indices: (stop - start, level)."""
+    place = num_actions ** np.arange(level - 1, -1, -1)
+    return np.arange(start, stop)[:, None] // place % num_actions
+
+
+def _stacked_band(jumps: np.ndarray, assignments: np.ndarray):
+    """The living blocks of many controls, as build_generator would
+    lay them out: death (B, N) holds d(1), ..., d(N) per control and
+    births (B, N, k) the rates from state x+1 up j states at [b, x, j-1],
+    k = min(k_max, N - 1).  jumps comes from _action_jumps and each
+    control's rates are gathered from it row by row.  Births that would
+    land above N are lumped onto N, summed in bincount's order, and a
+    birth from N itself is a self-loop and dropped."""
+    n = assignments.shape[1]
+    k_max = jumps.shape[2] - 1
+    rates = jumps[assignments, np.arange(n)]
+    death = np.ascontiguousarray(rates[:, :, 0])
+    births = rates[:, :, 1:min(k_max, n - 1) + 1].copy()
+    births[:, n - 1] = 0.0
+    for r in range(1, min(k_max, n)):
+        # state N - r: progeny sizes r..k_max all land on N
+        lumped = rates[:, n - 1 - r, r].copy()
+        for j in range(r + 1, k_max + 1):
+            lumped += rates[:, n - 1 - r, j]
+        births[:, n - 1 - r, r - 1] = lumped
+        births[:, n - 1 - r, r:] = 0.0
+    return death, births
+
+
 def enumerate_markov_controls(model: ModelSpec, level: int,
                               cap: int = 10 ** 6) -> Iterator[MarkovControl]:
     """All m^level stationary controls on 1..level in lexicographic

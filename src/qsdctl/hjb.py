@@ -207,8 +207,8 @@ def policy_iteration(model: ModelSpec, beta: float, mode: str,
     v = None
     for it in range(1, max_iter + 1):
         factor = _BandedFactor.of(gen, beta)
-        v = evaluate_policy(gen, _cost_vector(model, current, level), beta,
-                            lam=lam, _factor=factor)
+        f = _cost_vector(model, current, level)
+        v = evaluate_policy(gen, f, beta, lam=lam, _factor=factor)
         if v_prev is None:
             delta_up = delta_down = 0.0
             changes = level
@@ -254,8 +254,7 @@ def policy_iteration(model: ModelSpec, beta: float, mode: str,
     ones = np.zeros(level + 1)
     ones[1:] = 1.0
     bound_vec = evaluate_policy(gen, ones, beta, lam=lam, _factor=factor)
-    f_vec = _cost_vector(model, current, level)
-    sup_bound = float(np.max(bound_vec)) * float(np.max(f_vec))
+    sup_bound = float(np.max(bound_vec)) * float(np.max(f))
     transversality = None
     if mode == "max":
         transversality = TransversalityCheck(lam > beta, lam - beta, lam)

@@ -17,7 +17,10 @@ two smallest rates whatever the size of the exit rates.  M is factored
 once per solve, without pivoting, into banded factors built only from
 jump and absorption rates (in the manner of Grassmann, Taksar & Heyman,
 Oper. Res. 33(5), 1985), so every solve adds positive terms and pi
-stays accurate entry by entry far into its tail.
+stays accurate entry by entry far into its tail.  An enumeration of
+controls factors the living blocks of all of them as one stacked band
+and iterates on the stack (_solve_qsd_stacked), with solve_qsd's
+arithmetic and stopping rule block by block.
 
 Transient solves apply exp(tL) as a trapezoid sum over a parabolic
 contour of the resolvent (Weideman & Trefethen, Math. Comp. 76, 2007),
@@ -35,6 +38,7 @@ with this module, so code that never factors never loads scipy.linalg.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -101,10 +105,13 @@ class QsdSolution:
         return out
 
 
-def _check_absorbing_reachable(gen: TruncatedGenerator):
-    dead = np.diagonal(gen.matrix, -1) <= 0  # death rates d(1), ..., d(N)
+def _check_absorbing_reachable(death: np.ndarray):
+    """Refuse a zero death rate.  death holds d(1), ..., d(N) on its last
+    axis, one row per living block; the first zero, in row order, is
+    named."""
+    dead = death <= 0
     if dead.any():
-        x = int(np.argmax(dead)) + 1
+        x = int(np.argmax(dead.ravel())) % death.shape[-1] + 1
         raise ModelError(
             f"state {x} has zero death rate: extinction is unreachable "
             "from it, so no quasi-stationary distribution exists")
@@ -181,43 +188,51 @@ class _BandedFactor:
     lower: np.ndarray   # (2, N): row 1 holds L[x+1, x]
     upper: np.ndarray   # (k_max + 1, N): row k_max holds the pivots
     norm: float         # max absolute row sum of A + shift I
+    norms: np.ndarray   # (N,): absolute row sums of A + shift I
     tops: list[int]     # states (0-based) that no state up to them leaves
                         # upwards: U has nothing right of the diagonal
 
     @classmethod
     def of(cls, gen: TruncatedGenerator, shift: float = 0.0
            ) -> "_BandedFactor":
-        _lapack()
         diags = _band(gen)
         n = gen.level
         k = len(diags) - 2
-        # rest[x]: magnitudes of U[x, x+1..x+k] (index 0 unused), the
-        # birth rates before elimination
-        rest = np.zeros((n, k + 1))
+        births = np.zeros((n, k))
         for j in range(1, k + 1):
-            rest[:n - j, j] = diags[j + 1]
-        death = diags[0]
-        absorb = gen.matrix[1:, 0]
-        if rest.min() < 0 or absorb.min() < 0:
+            births[:n - j, j - 1] = diags[j + 1]
+        return cls.from_band(diags[0], births, gen.matrix[1:, 0], shift)
+
+    @classmethod
+    def from_band(cls, death: np.ndarray, births: np.ndarray,
+                  absorb: np.ndarray, shift: float = 0.0) -> "_BandedFactor":
+        """Factor the block with sub-diagonal death (A[x+1, x], N - 1
+        entries), births[x, j-1] = A[x, x+j] (zero past the block) and
+        absorption rates absorb (A's rates into state 0)."""
+        _lapack()
+        n, k = births.shape
+        if births.min(initial=0.0) < 0 or absorb.min() < 0:
             raise SolverError(_NOT_BIRTH_DEATH)
 
         # Eliminate state by state; Python floats beat numpy calls on
-        # rows this short.  kept is the shifted absorption rate of the
-        # updated row; norm is |A + shift I|_inf, a row's shifted exit
-        # rate in magnitude plus its jump rates.  State 1 dies into 0,
-        # which folds nothing into it: a zero row with pivot 1.
-        rows_left = rest.tolist()
-        prev, pivot, kept, norm = [0.0] * (k + 1), 1.0, 0.0, 0.0
+        # rows this short.  row[j-1] is the magnitude of U[x, x+j], the
+        # birth rate before elimination.  kept is the shifted absorption
+        # rate of the updated row; a row's norm is its shifted exit rate
+        # in magnitude plus its jump rates.  State 1 dies into 0, which
+        # folds nothing into it: a zero row with pivot 1.
+        rows_left = births.tolist()
+        prev, pivot, kept = [0.0] * k, 1.0, 0.0
         pivots = []
         mults = []          # -g: state 1's dummy, then L below the diagonal
+        norms = []
         tops = []
         for x, (dx, ax, row) in enumerate(zip(
                 [0.0] + death.tolist(), (absorb - shift).tolist(),
                 rows_left), 1):
             jumps = dx + sum(row)
-            norm = max(norm, abs(ax + jumps) + jumps)
+            norms.append(abs(ax + jumps) + jumps)
             g = dx / pivot
-            for j in range(1, k):
+            for j in range(k - 1):
                 row[j] += g * prev[j + 1]
             kept = ax + g * kept
             up = sum(row)
@@ -232,14 +247,16 @@ class _BandedFactor:
             if up == 0.0:
                 tops.append(x - 1)
             prev = row
-        lower = np.ones((2, n))
+        # both bands column-major, as LAPACK reads them, so no solve
+        # copies them
+        lower = np.ones((n, 2)).T
         lower[1, :-1] = mults[1:]
-        upper = np.zeros((k + 1, n))
+        upper = np.zeros((n, k + 1)).T
         upper[k] = pivots
-        rest = np.array(rows_left)
+        rest = np.array(rows_left).reshape(n, k)
         for j in range(1, k + 1):
-            upper[k - j, j:] = -rest[:n - j, j]
-        return cls(lower, upper, norm, tops)
+            upper[k - j, j:] = -rest[:n - j, j - 1]
+        return cls(lower, upper, max(norms), np.array(norms), tops)
 
     # dtbtrs(ab, b, uplo, trans, diag, overwrite_b), positional: parsing
     # keywords costs half as much again as a solve on a small window
@@ -287,7 +304,7 @@ def solve_qsd(gen: TruncatedGenerator, tol: float = 1e-10,
     as the one holding the peak of pi * eta; the states above it are
     left out of the stop and come back as exact zeros.
     """
-    _check_absorbing_reachable(gen)
+    _check_absorbing_reachable(np.diagonal(gen.matrix, -1))
     factor = _BandedFactor.of(gen)
     a = gen.active
     n = gen.level
@@ -331,6 +348,131 @@ def solve_qsd(gen: TruncatedGenerator, tol: float = 1e-10,
                 residual_left=res_l, residual_right=res_r,
                 iterations=iterations, residual_floor=floor,
                 reducible_warning=births and bool((pi == 0.0).any()))
+    raise NonConvergenceError(
+        f"inverse iteration did not reach tol={tol} in {max_iter} iterations")
+
+
+def _blocks_of(band: np.ndarray, keep: np.ndarray, size: int) -> np.ndarray:
+    """The columns of blocks `keep` of a column-major band whose columns
+    run in blocks of `size` states, column-major again."""
+    rows = band.shape[0]
+    return band.T.reshape(-1, size, rows)[keep].reshape(-1, rows).T
+
+
+def _solve_qsd_stacked(death: np.ndarray, births: np.ndarray,
+                       tol: float = 1e-10, max_iter: int = 10_000):
+    """solve_qsd on many living blocks of one size N at once.
+
+    Row b of death holds block b's death rates d(1), ..., d(N), and
+    births[b, x, j-1] its rate from state x+1 up j states, lumped at N
+    already.  The blocks are laid end to end as one block-diagonal band
+    and factored once: a block's first state dies into 0, so nothing
+    couples them, and each block's part of the factor is the one
+    _BandedFactor.of would build for it alone.  The two-sided inverse
+    iteration then runs on the whole stack, with every reduction taken
+    per block: stacked matmul for the dot products, sum and max along
+    the rows, per-block norms and class tops.  Each block stops on
+    solve_qsd's rule, the support rule of reducible windows included,
+    and leaves the stack.  The stop tests the residuals of the block
+    as build_generator lays it out, multiplied as solve_qsd multiplies
+    it: a banded mat-vec rounds differently, and a residual within a
+    rounding of tol then stops one step apart.  So lam, pi, eta and the
+    iteration counts are solve_qsd's, to the bit on the platforms the
+    tests run on.  One generator alone is faster through solve_qsd.
+
+    Returns lam (B,), pi (B, N), eta (B, N) and iterations (B,).
+    Raises ModelError on a zero death rate, naming the first in block
+    order, and NonConvergenceError when a block needs more than
+    max_iter steps.
+    """
+    _check_absorbing_reachable(death)
+    nb, n = death.shape
+    sub = death.copy()
+    sub[:, 0] = 0.0
+    absorb = np.zeros_like(death)
+    absorb[:, 0] = death[:, 0]
+    factor = _BandedFactor.from_band(sub.ravel()[1:],
+                                     births.reshape(nb * n, -1),
+                                     absorb.ravel())
+    norms = factor.norms.reshape(nb, n).max(axis=1)
+    tops = np.array(factor.tops)
+    states = np.arange(n)
+
+    def residuals(b, pi, eta, lam):
+        """max |pi A + lam pi| and max |A eta + lam eta| for blocks b,
+        with A as gen.active holds it."""
+        q = np.zeros((len(b), n, n + 1))      # rows 1..N of the generator
+        q[:, states, states] = death[b]
+        for j in range(1, births.shape[2] + 1):
+            q[:, states[:-j], states[:-j] + 1 + j] = births[b, :-j, j - 1]
+        q[:, states, states + 1] = -q.sum(axis=2)
+        a = q[:, :, 1:]
+        left = np.matmul(pi[:, None, :], a)[:, 0] + lam * pi
+        right = np.matmul(a, eta[:, :, None])[:, :, 0] + lam * eta
+        return abs(left).max(axis=1), abs(right).max(axis=1)
+
+    lam_out = np.empty(nb)
+    pi_out = np.empty((nb, n))
+    eta_out = np.empty((nb, n))
+    iters_out = np.empty(nb, dtype=int)
+    live = np.arange(nb)         # the blocks still iterating, in stack order
+    support = np.zeros(nb, dtype=int)   # 0 until the support rule reads it
+    pi = np.full((nb, n), 1.0 / n)
+    eta = np.ones((nb, n))
+    lam_prev = np.full(nb, math.inf)
+    for iterations in range(1, max_iter + 1):
+        eta_next = factor.solve(eta.ravel()).reshape(-1, n)
+        pi_next = factor.solve_transposed(pi.ravel()).reshape(-1, n)
+        lam = (np.matmul(pi_next[:, None, :], eta[:, :, None])[:, 0, 0]
+               / np.matmul(pi_next[:, None, :], eta_next[:, :, None])[:, 0, 0])
+        pi_next /= pi_next.sum(axis=1)[:, None]
+        eta_next /= eta_next.max(axis=1)[:, None]
+        settled = np.flatnonzero(
+            (abs(lam - lam_prev) <= tol * lam)
+            & (abs(eta_next - eta) <= tol * eta_next).all(axis=1))
+        if settled.size:
+            p = pi_next[settled]
+            pi_settled = (abs(p - pi[settled]) <= tol * p) | (p <= _UNRESOLVED)
+            ok = pi_settled.all(axis=1)
+            if not ok.all():
+                late = np.flatnonzero(~ok)
+                b = live[settled[late]]
+                fresh = support[b] == 0
+                if fresh.any():
+                    i, b0 = late[fresh], b[fresh] * n
+                    x = b0 + np.argmax(p[i] * eta_next[settled[i]], axis=1)
+                    support[b[fresh]] = 1 + tops[np.searchsorted(tops, x)] - b0
+                top = support[b][:, None]
+                ok[late] = (top[:, 0] < n) & (
+                    pi_settled[late] | (states >= top)).all(axis=1)
+            settled = settled[ok]
+        pi, eta, lam_prev = pi_next, eta_next, lam
+        if not settled.size:
+            continue
+        b = live[settled]
+        for i in settled[(support[b] > 0) & (support[b] < n)]:
+            pi[i, support[live[i]]:] = 0.0
+            pi[i] /= pi[i].sum()
+        p, e = pi[settled], eta[settled]
+        e /= np.matmul(p[:, None, :], e[:, :, None])[:, 0]
+        res_l, res_r = residuals(b, p, e, lam[settled, None])
+        floor = 8 * _EPS * norms[b] * (1.0 + abs(e).max(axis=1))
+        done = np.maximum(res_l, res_r) <= np.maximum(tol, floor)
+        if not done.any():
+            continue
+        p[p < _UNRESOLVED] = 0.0
+        b = b[done]
+        lam_out[b], pi_out[b], eta_out[b] = lam[settled[done]], p[done], e[done]
+        iters_out[b] = iterations
+        keep = np.ones(len(live), dtype=bool)
+        keep[settled[done]] = False
+        if not keep.any():
+            return lam_out, pi_out, eta_out, iters_out
+        live, pi, eta, lam_prev = live[keep], pi[keep], eta[keep], lam[keep]
+        # only the bands are read from here on
+        factor = dataclasses.replace(
+            factor, lower=_blocks_of(factor.lower, keep, n),
+            upper=_blocks_of(factor.upper, keep, n))
     raise NonConvergenceError(
         f"inverse iteration did not reach tol={tol} in {max_iter} iterations")
 

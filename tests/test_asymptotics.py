@@ -1,18 +1,27 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qsdctl import policies
+from qsdctl import asymptotics, policies
 from qsdctl.asymptotics import (brute_force_control_opt,
                                 brute_force_value_opt, corollary_spot_check,
                                 limit_theorem_check,
                                 optimize_extinction_rate)
-from qsdctl.errors import (AllControlsInfeasibleError,
+from qsdctl.errors import (AllControlsInfeasibleError, CapExceededError,
                            ContinuationStalledError, InfeasibleBetaError,
-                           ModelError)
-from qsdctl.generator import build_generator
+                           ModelError, NonConvergenceError)
+from qsdctl.expressions import parse_rate_expression as rx
+from qsdctl.generator import (_action_jumps, _control_assignments,
+                              _stacked_band, build_generator,
+                              enumerate_markov_controls)
 from qsdctl.hjb import policy_iteration
-from qsdctl.qsd import solve_qsd
+from qsdctl.models import (Action, ControlSet, HypothesisConstants,
+                           ModelSpec, ProgenyDist)
+from qsdctl.qsd import _solve_qsd_stacked, solve_qsd
 from qsdctl.simulate import SimConfig
+
+from test_models import make_model
 
 CULLING_LAM_MAX = 0.9290248887341586   # all-cull
 CULLING_LAM_MIN = 0.474608065007655    # all-keep
@@ -40,6 +49,143 @@ class TestEnumeration:
     def test_objective_validated(self, culling):
         with pytest.raises(ModelError):
             brute_force_control_opt(culling, "sup")
+
+
+def _random_model(actions, k_max, level, seed, stop=None):
+    """Per-action rates and progeny laws.  Births under action 0 stop at
+    state z (zero from z on, everywhere when z = 1; random unless given),
+    so many controls have windows that split into classes, and some
+    progeny sizes have probability 0."""
+    rng = np.random.default_rng(seed)
+    tables = rng.dirichlet(np.ones(k_max), size=actions)
+    tables[rng.random((actions, k_max)) < 0.3] = 0.0
+    tables[:, -1] += tables.sum(axis=1) == 0.0
+    tables /= tables.sum(axis=1, keepdims=True)
+    stop = int(rng.integers(1, level + 1)) if stop is None else stop
+    stops = [stop] + [level + 1] * (actions - 1)
+    return ModelSpec(
+        name="rand",
+        controls=ControlSet(tuple(
+            Action(f"a{i}", {"sb": rng.uniform(0.2, 4.0),
+                             "sd": rng.uniform(0.3, 2.0),
+                             "pd": rng.uniform(1.0, 2.0), "z": z})
+            for i, z in enumerate(stops))),
+        birth=rx("sb * n * max(min(z - n, 1), 0)"), death=rx("sd * n^pd"),
+        cost=rx("1"), progeny=ProgenyDist("table", k_max, tables),
+        constants=HypothesisConstants(b_bar=4.0, m_bound=float(k_max),
+                                      d_bar=rx("2 * n^2")),
+        level=level)
+
+
+def _stacked(model, level, max_iter=10_000):
+    """Every control's (lam, pi, eta, iterations) from one stacked solve."""
+    m = model.num_actions
+    band = _stacked_band(_action_jumps(model, level),
+                         _control_assignments(m, level, 0, m ** level))
+    return _solve_qsd_stacked(*band, max_iter=max_iter)
+
+
+class TestStackedEnumeration:
+    @settings(max_examples=25, deadline=None)
+    @given(actions=st.integers(min_value=1, max_value=3),
+           k_max=st.integers(min_value=1, max_value=6),
+           level=st.integers(min_value=2, max_value=7),
+           seed=st.integers(min_value=0, max_value=2 ** 31))
+    def test_every_control_is_solve_qsd_to_the_bit(self, actions, k_max,
+                                                   level, seed):
+        model = _random_model(actions, k_max, level, seed)
+        controls = list(enumerate_markov_controls(model, level))
+        try:
+            lams, pis, etas, iterations = _stacked(model, level, 2000)
+        except NonConvergenceError:
+            # a window splits into classes and one above the bottom class
+            # attains the rate: eta dies out below it, slowly, and
+            # solve_qsd gives up on that control as well
+            with pytest.raises(NonConvergenceError):
+                for c in controls:
+                    solve_qsd(build_generator(model, c, level), max_iter=2000)
+            return
+        res = brute_force_control_opt(model, "max", level, keep_all=True)
+        np.testing.assert_array_equal(res.lams, lams)
+        for i, c in enumerate(controls):
+            q = solve_qsd(build_generator(model, c, level))
+            assert q.lam == lams[i]
+            assert q.iterations == iterations[i]
+            np.testing.assert_array_equal(q.pi, pis[i])
+            np.testing.assert_array_equal(q.eta, etas[i])
+            np.testing.assert_array_equal(q.pi, res.pis[i])
+            np.testing.assert_array_equal(q.eta, res.etas[i])
+
+    def test_support_rule_fires(self):
+        # births stop at state 3 under action 0: on the all-0 control the
+        # class {1, 2} attains the rate and pi vanishes above it
+        model = _random_model(2, 2, 5, 7, stop=3)
+        lams, pis, etas, iterations = _stacked(model, 5)
+        q = solve_qsd(build_generator(model, model.constant_control(0, 5), 5))
+        assert q.reducible_warning
+        np.testing.assert_array_equal(pis[0], q.pi)
+        assert iterations[0] == q.iterations and lams[0] == q.lam
+
+    def test_tied_actions_pick_the_first_control(self):
+        same = {"kd": 1.5}
+        model = make_model(death="kd * n^2", level=5, actions=tuple(
+            Action(name, same) for name in ("a", "b", "c")))
+        for objective in ("max", "min"):
+            res = brute_force_control_opt(model, objective, keep_all=True)
+            assert res.control.assignment == (0,) * 5
+            assert (res.lams == res.lam).all()
+
+    def test_cap_refused_before_any_rate(self, culling, monkeypatch):
+        def no_rates(*args):
+            raise AssertionError("a rate was evaluated")
+        monkeypatch.setattr(ModelSpec, "_vector", no_rates)
+        with pytest.raises(CapExceededError):
+            brute_force_control_opt(culling, "max", level=6, cap=63)
+
+    def test_invalid_rate_under_one_action(self):
+        # the birth rate of action b is negative at state 3 only
+        model = make_model(
+            birth="2 * n - bad * 100 * max(min(n - 2, 4 - n), 0)", level=5,
+            actions=(Action("a", {"bad": 0}), Action("b", {"bad": 1})))
+        with pytest.raises(ModelError,
+                           match="birth rate is -94.0 at state 3 under "
+                                 "action b"):
+            brute_force_control_opt(model, "max")
+
+    def test_zero_death_under_one_action(self):
+        model = make_model(
+            death="n + n^2 - z * 12 * max(min(n - 2, 4 - n), 0)", level=5,
+            actions=(Action("a", {"z": 0}), Action("b", {"z": 1})))
+        with pytest.raises(ModelError, match="state 3 has zero death rate"):
+            brute_force_control_opt(model, "min")
+
+    @pytest.mark.parametrize("blocks", [1, 3, 7])
+    def test_chunks_change_nothing(self, blocks, monkeypatch):
+        model = make_model(
+            death="kd * n^2", cost="c * n", level=5, progeny=ProgenyDist(
+                "table", 3, np.array([[0.5, 0.3, 0.2], [0.2, 0.2, 0.6],
+                                      [1.0, 0.0, 0.0]])),
+            actions=(Action("a", {"kd": 1.0, "c": 1.0}),
+                     Action("b", {"kd": 1.3, "c": 2.0}),
+                     Action("c", {"kd": 2.0, "c": 3.0})))
+        whole = brute_force_control_opt(model, "max", keep_all=True)
+        monkeypatch.setattr(asymptotics, "_STACK_STATES", blocks * 5)
+        for objective in ("max", "min"):
+            part = brute_force_control_opt(model, objective, keep_all=True)
+            np.testing.assert_array_equal(part.lams, whole.lams)
+            np.testing.assert_array_equal(part.pis, whole.pis)
+            np.testing.assert_array_equal(part.etas, whole.etas)
+            best = (np.argmax if objective == "max" else np.argmin)(whole.lams)
+            assert part.control == whole.controls[best]
+            assert part.lam == whole.lams[best]
+
+    def test_no_generator_per_control(self, culling, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built or solved one control alone")
+        monkeypatch.setattr(asymptotics, "build_generator", refuse)
+        monkeypatch.setattr(asymptotics, "solve_qsd", refuse)
+        assert brute_force_control_opt(culling, "max").count == 64
+        assert limit_theorem_check(culling, "max").converged
 
 
 class TestValueEnumeration:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qsdctl import hjb
 from qsdctl.errors import (InfeasibleBetaError, MathematicalRefusal,
                            PolicyIterationError, SolverError)
 from qsdctl.generator import build_generator
@@ -152,6 +153,20 @@ class TestOptimality:
             f = np.array([model.cost_rate(x, sol.policy.action_at(x))
                           for x in range(1, level + 1)])
             assert sol.sup_bound == float(np.max(bound)) * float(np.max(f))
+
+    def test_one_cost_vector_per_evaluation(self, culling, monkeypatch):
+        # the bound reads the final evaluation's cost vector, not a new one
+        calls = []
+        cost_vector = hjb._cost_vector
+
+        def counted(*args):
+            calls.append(args)
+            return cost_vector(*args)
+        monkeypatch.setattr(hjb, "_cost_vector", counted)
+        for mode in ("min", "max"):
+            calls.clear()
+            sol = policy_iteration(culling, 0.3, mode)
+            assert len(calls) == len(sol.trace.records)
 
     def test_value_monotone_in_beta(self, culling):
         keep = culling.constant_control(1)
