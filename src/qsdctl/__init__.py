@@ -14,12 +14,12 @@ from .asymptotics import (EnumerationResult, LimitCheck, RateOptimum,
                           brute_force_value_opt, corollary_spot_check,
                           limit_theorem_check, optimize_extinction_rate)
 from .errors import (AllControlsInfeasibleError, CapExceededError,
-                     ContinuationStalledError, EnvelopeViolationError,
-                     ExpressionSyntaxError, HypothesisFailureWarning,
-                     InfeasibleBetaError, InfiniteVarianceWarning,
-                     LowConfidenceWarning, MathematicalRefusal, ModelError,
-                     NonConvergenceError, PolicyIterationError, QsdctlError,
-                     SimulationError, SolverError, ThresholdNotFoundError,
+                     EnvelopeViolationError, ExpressionSyntaxError,
+                     HypothesisFailureWarning, InfeasibleBetaError,
+                     InfiniteVarianceWarning, LowConfidenceWarning,
+                     MathematicalRefusal, ModelError, NonConvergenceError,
+                     PolicyIterationError, QsdctlError, SimulationError,
+                     SolverError, ThresholdNotFoundError,
                      UnknownIdentifierError, ZeroSurvivorsError)
 from .expressions import RateExpr, parse_rate_expression
 from .generator import (TruncatedGenerator, build_generator,

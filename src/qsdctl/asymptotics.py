@@ -7,9 +7,9 @@ Three independent routes cross-check each other here:
   window: rates and profiles by one stacked inverse iteration over the
   living blocks of all controls (equal to solve_qsd's to the bit),
   values by one linear solve per control;
-* a discount continuation that pushes beta toward the feasible
-  frontier of the discounted problem, where the optimizing policy
-  freezes onto a rate-extremal control;
+* spectral policy iteration, which improves a control row by row on
+  its quasi-stationary profile eta until a Collatz-Wielandt inequality
+  certifies that no stationary control has a more extreme rate;
 * the scaling limit (lam - beta) * v_beta(x) -> pi(f) eta(x), with
   (pi, eta) the stationary profile pair of a rate-extremal control,
   checked on a geometric ladder of discounts.
@@ -21,21 +21,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (AllControlsInfeasibleError, ContinuationStalledError,
-                     InfeasibleBetaError, ModelError)
-from .generator import (_action_jumps, _control_assignments,
+from .errors import (AllControlsInfeasibleError, InfeasibleBetaError,
+                     ModelError, SolverError)
+from .generator import (_action_drift, _action_jumps, _control_assignments,
                         _stacked_band, build_generator,
                         enumerate_markov_controls)
 from .hjb import _cost_vector, evaluate_policy, policy_iteration
 from .models import MarkovControl, ModelSpec
-from .qsd import _solve_qsd_stacked, solve_qsd
+from .qsd import _EPS, _solve_qsd_stacked, solve_qsd
 from .simulate import (HistoryPolicy, MonteCarloEstimate, SimConfig,
                        _envelope_table, discounted_survival_integral,
                        simulate_thinning)
 
 __all__ = [
     "RATE_TOL", "EnumerationResult",
-    "brute_force_control_opt", "brute_force_value_opt", "ContinuationStep",
+    "brute_force_control_opt", "brute_force_value_opt", "RateStep",
     "RateOptimum", "optimize_extinction_rate", "LimitCheck",
     "limit_theorem_check", "SpotCheck", "corollary_spot_check",
 ]
@@ -154,26 +154,29 @@ def brute_force_value_opt(model: ModelSpec, beta: float, mode: str,
 
 
 # ---------------------------------------------------------------------
-# discount continuation
+# spectral policy iteration
 
 @dataclass(frozen=True)
-class ContinuationStep:
-    beta: float
-    lam: float                # extinction rate of the step's optimizer
+class RateStep:
+    lam: float                # extinction rate of the step's control
     control: MarkovControl
 
 
 @dataclass(frozen=True, eq=False)
 class RateOptimum:
-    """Outcome of the rate continuation.  lam and control come from the
-    continuation itself; the enumeration fields are filled only when an
-    independent exhaustive sweep was requested, so agreement between
-    the two is a genuine cross-check and not a tautology."""
+    """Outcome of spectral policy iteration.  lam and control come from
+    the iteration itself, steps from the controls it solved along its
+    path, and slack and floor from its stopping certificate (slack <=
+    floor); the enumeration fields are filled only when an independent
+    exhaustive sweep was requested, so agreement between the two is a
+    genuine cross-check and not a tautology."""
 
     objective: str
     lam: float
     control: MarkovControl
-    steps: tuple[ContinuationStep, ...]
+    steps: tuple[RateStep, ...]
+    slack: float              # largest gain of any row switch at the end
+    floor: float              # largest rounding floor of those gains
     enumeration_lam: float | None = None
     enumeration_control: MarkovControl | None = None
 
@@ -186,78 +189,64 @@ class RateOptimum:
 
 def optimize_extinction_rate(model: ModelSpec, objective: str = "max",
                              level: int | None = None, *,
-                             initial_gap: float = 0.1,
-                             delta0: float = 0.05, delta_min: float = 1e-3,
-                             frontier_window: float = 1e-2,
-                             rate_tol: float = RATE_TOL, max_steps: int = 60,
-                             hold: int = 3, cross_check: bool = False,
+                             cross_check: bool = False,
                              cap: int = 10 ** 6) -> RateOptimum:
-    """Extremal extinction rate over stationary controls, by discount
-    continuation.
+    """Extremal extinction rate over stationary controls, by spectral
+    policy iteration (Howard & Matheson 1972; Protasov 2016).
 
-    The discounted problem with unit cost is feasible exactly for beta
-    below the extremal rate (largest rate for the min problem, smallest
-    for the max problem), and near the frontier its optimizer is a
-    rate-extremal control.  So: solve at a safe beta, read off the
-    optimizer's exact rate by eigen-solve, move beta to just below that
-    rate, and repeat.  beta never decreases except when a step overshot
-    the frontier, in which case it retreats halfway toward the last
-    feasible discount and doubles its standoff distance.  Converged
-    when the optimizer and its rate sit still for `hold` consecutive
-    steps with beta inside the frontier window.  The rate reported is
-    the eigen-solved rate of the final control, not a discount.
+    The action at state x fixes row x of the generator A, so controls
+    are products of rows.  From the best constant control, solve (lam,
+    eta) and switch each row x to the action a of largest (max) or
+    smallest (min) slack (-A_a eta)(x) - lam eta(x), ties to the lowest
+    index, where it beats the current row by more than the rounding
+    floor 8 eps (sum_j r_a,j (eta(x) + eta(t_j)) + lam eta(x)).  By
+    Collatz-Wielandt no switch moves lam against the objective, and on
+    an irreducible window each moves it strictly, so a repeated control
+    is a SolverError.  Where no row switches, -A_c eta <= lam eta (max;
+    >= for min) for every stationary control c: no control has a larger
+    (smaller) rate.  steps runs from the best constant control to the
+    last; slack is the largest gain left at the end, floor the largest
+    floor of those gains.
     """
     _check_objective(objective)
     level = model.level if level is None else int(level)
-    unit = model.with_unit_cost()
-    hjb_mode = "min" if objective == "max" else "max"
-
-    const_lams = [
-        solve_qsd(build_generator(model, model.constant_control(a, level),
-                                  level)).lam
-        for a in range(model.num_actions)
-    ]
-    pick = (int(np.argmax(const_lams)) if objective == "max"
-            else int(np.argmin(const_lams)))
-    lam_seed = const_lams[pick]
-    beta = lam_seed - initial_gap
-    delta = delta0
-    steps: list[ContinuationStep] = []
-    stable = 0
-    for _ in range(max_steps):
-        try:
-            sol = policy_iteration(unit, beta, hjb_mode, level=level)
-        except InfeasibleBetaError:
-            if steps:
-                beta = 0.5 * (steps[-1].beta + beta)
-            else:
-                beta = beta - max(initial_gap, delta)
-            delta = min(2.0 * delta, initial_gap)
-            stable = 0
-            continue
-        # the last trace record evaluated the final policy; unit cost
-        # leaves its generator, and so its rate, as under the model
-        control = sol.policy
-        lam_k = sol.trace.records[-1].lam
-        if steps and control == steps[-1].control and \
-                abs(lam_k - steps[-1].lam) <= rate_tol:
-            stable += 1
-        else:
-            stable = 0
-        steps.append(ContinuationStep(beta, lam_k, control))
-        if stable >= hold - 1 and \
-                lam_k - beta <= frontier_window * (1.0 + abs(lam_k)):
-            enum_lam = enum_control = None
-            if cross_check:
-                res = brute_force_control_opt(model, objective, level, cap)
-                enum_lam, enum_control = res.lam, res.control
-            return RateOptimum(objective, lam_k, control, tuple(steps),
-                               enum_lam, enum_control)
-        beta = max(beta, lam_k - delta)
-        delta = max(0.5 * delta, delta_min)
-    raise ContinuationStalledError(
-        f"rate continuation did not settle within {max_steps} steps "
-        f"(last beta {beta:g})", path=tuple(steps))
+    sign = 1.0 if objective == "max" else -1.0
+    jumps = _action_jumps(model, level)
+    exits = jumps.sum(axis=2)
+    rows = np.arange(level)
+    consts = [model.constant_control(a, level)
+              for a in range(model.num_actions)]
+    sols = [solve_qsd(build_generator(model, c, level)) for c in consts]
+    pick = int(np.argmax([sign * q.lam for q in sols]))
+    control, sol = consts[pick], sols[pick]
+    steps: list[RateStep] = []
+    while True:
+        steps.append(RateStep(sol.lam, control))
+        eta = np.concatenate(([0.0], sol.eta))
+        drift = _action_drift(jumps, eta)
+        # signed so that a positive gain moves lam the objective's way
+        slack = sign * (-drift - sol.lam * eta[1:])
+        floors = 8 * _EPS * (drift + (2.0 * exits + sol.lam) * eta[1:])
+        current = np.asarray(control.assignment)
+        gains = slack - slack[current, rows]
+        best = np.argmax(gains, axis=0)
+        gain, floor = gains[best, rows], floors[best, rows]
+        switch = gain > floor
+        if not switch.any():
+            break
+        control = MarkovControl(
+            tuple(np.where(switch, best, current).tolist()))
+        if control in {s.control for s in steps}:
+            raise SolverError(f"spectral policy iteration revisited control "
+                              f"{control.assignment}")
+        sol = solve_qsd(build_generator(model, control, level))
+    enum_lam = enum_control = None
+    if cross_check:
+        res = brute_force_control_opt(model, objective, level, cap)
+        enum_lam, enum_control = res.lam, res.control
+    return RateOptimum(objective, sol.lam, control, tuple(steps),
+                       float(gain.max()), float(floor.max()),
+                       enum_lam, enum_control)
 
 
 # ---------------------------------------------------------------------

@@ -254,13 +254,15 @@ def _cmd_rate_opt(args) -> int:
         cross_check=args.cross_check)
     outputs = [out / "steps.csv"]
     _write_csv(outputs[0],
-               ["step", "beta_per_s", "lambda_per_s", "control"],
-               [[i, _fmt(s.beta), _fmt(s.lam),
+               ["step", "lambda_per_s", "control"],
+               [[i, _fmt(s.lam),
                  "".join(str(a) for a in s.control.assignment)]
                 for i, s in enumerate(res.steps)])
     print(f"objective = {args.objective}")
     print(f"lambda_per_s = {_fmt(res.lam)}")
     print(f"control = {''.join(str(a) for a in res.control.assignment)}")
+    print(f"certificate_slack = {_fmt(res.slack)}")
+    print(f"certificate_floor = {_fmt(res.floor)}")
     if res.enumeration_lam is not None:
         print(f"enumeration_lambda_per_s = {_fmt(res.enumeration_lam)}")
         print(f"cross_check_gap_per_s = {_fmt(res.cross_check_gap)}")

@@ -95,14 +95,6 @@ class ThresholdNotFoundError(MathematicalRefusal):
     diagnostic = "drift threshold not found in window"
 
 
-class ContinuationStalledError(MathematicalRefusal):
-    diagnostic = "rate continuation stalled"
-
-    def __init__(self, message: str, path=()):
-        super().__init__(message)
-        self.path = tuple(path)
-
-
 class LowConfidenceWarning(UserWarning):
     """Conditional estimate rests on fewer than 100 surviving samples."""
 

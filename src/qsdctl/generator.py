@@ -73,11 +73,16 @@ def _jump_table(birth: np.ndarray, death: np.ndarray, pmf: np.ndarray,
     the level when it would land above it.  pmf is one progeny law of
     shape (k_max,) or one per state, (n, k_max).
     """
-    steps = np.arange(pmf.shape[-1] + 1)
-    steps[0] = -1
-    targets = np.minimum(np.arange(1, len(birth) + 1)[:, None] + steps, level)
+    targets = _jump_targets(len(birth), pmf.shape[-1], level)
     rates = np.concatenate((death[:, None], birth[:, None] * pmf), axis=1)
     return targets, rates
+
+
+def _jump_targets(n: int, k_max: int, level: int) -> np.ndarray:
+    """The targets of _jump_table's rows for the states 1..n."""
+    steps = np.arange(k_max + 1)
+    steps[0] = -1
+    return np.minimum(np.arange(1, n + 1)[:, None] + steps, level)
 
 
 def build_generator(model: ModelSpec, control: MarkovControl,
@@ -120,6 +125,15 @@ def _action_jumps(model: ModelSpec, level: int) -> np.ndarray:
                     model._vector(model.death, "death", a, xs),
                     model.progeny.pmf(a), level)[1]
         for a in range(model.num_actions)])
+
+
+def _action_drift(jumps: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(L_a v)(x) = sum_j r_a,j (v(t_j) - v(x)) on 1..level under every
+    action a: (m, level), for jumps from _action_jumps and v on
+    0..level."""
+    level = jumps.shape[1]
+    targets = _jump_targets(level, jumps.shape[2] - 1, level)
+    return (jumps * (v[targets] - v[1:, None])).sum(axis=2)
 
 
 def _control_assignments(num_actions: int, level: int, start: int,

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (InfeasibleBetaError, PolicyIterationError, SolverError)
-from .generator import (TruncatedGenerator, _control_rates, _jump_table,
-                        build_generator)
+from .generator import (TruncatedGenerator, _action_drift, _action_jumps,
+                        _control_rates, build_generator)
 from .models import MarkovControl, ModelSpec
 from .qsd import _BandedFactor, _residual_floor, solve_qsd
 
@@ -124,12 +124,10 @@ def evaluate_policy(gen: TruncatedGenerator, cost: np.ndarray, beta: float,
 
 def _action_scores(model: ModelSpec, v: np.ndarray, level: int) -> np.ndarray:
     """scores[a, x-1] = f(x, a) + (L_a v)(x) on the truncated window."""
-    scores = np.empty((model.num_actions, level))
-    for a in range(model.num_actions):
-        b, d, f = model.rate_tables(a, level)
-        targets, rates = _jump_table(b[1:], d[1:], model.progeny.pmf(a), level)
-        scores[a] = f[1:] + (rates * (v[targets] - v[1:, None])).sum(axis=1)
-    return scores
+    xs = np.arange(1, level + 1)
+    costs = np.array([model._vector(model.cost, "cost", a, xs)
+                      for a in range(model.num_actions)])
+    return costs + _action_drift(_action_jumps(model, level), v)
 
 
 def improve_policy(model: ModelSpec, v: np.ndarray, beta: float,

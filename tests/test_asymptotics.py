@@ -9,8 +9,8 @@ from qsdctl.asymptotics import (brute_force_control_opt,
                                 limit_theorem_check,
                                 optimize_extinction_rate)
 from qsdctl.errors import (AllControlsInfeasibleError, CapExceededError,
-                           ContinuationStalledError, InfeasibleBetaError,
-                           ModelError, NonConvergenceError)
+                           InfeasibleBetaError, ModelError,
+                           NonConvergenceError, SolverError)
 from qsdctl.expressions import parse_rate_expression as rx
 from qsdctl.generator import (_action_jumps, _control_assignments,
                               _stacked_band, build_generator,
@@ -212,7 +212,7 @@ class TestValueEnumeration:
         np.testing.assert_allclose(v, sol.v, rtol=1e-9, atol=1e-11)
 
 
-class TestContinuation:
+class TestRateOptimum:
     @pytest.mark.parametrize("objective,expect,assignment", [
         ("max", CULLING_LAM_MAX, (1,) * 6),
         ("min", CULLING_LAM_MIN, (0,) * 6),
@@ -228,8 +228,8 @@ class TestContinuation:
         assert len(opt.steps) >= 1
         last = opt.steps[-1]
         assert last.lam == opt.lam
-        # converged inside the frontier window
-        assert last.lam - last.beta <= 1e-2 * (1.0 + abs(last.lam))
+        assert last.control == opt.control
+        assert 0.0 <= opt.slack <= opt.floor
 
     @pytest.mark.parametrize("objective", ["max", "min"])
     def test_step_rate_is_the_rate_of_its_control(self, culling, objective):
@@ -245,19 +245,60 @@ class TestContinuation:
         assert opt.enumeration_lam is None
         assert opt.cross_check_gap is None
 
-    def test_betas_never_cross_the_rate(self, culling):
-        opt = optimize_extinction_rate(culling, "max")
-        for step in opt.steps:
-            assert step.beta < step.lam
-
-    def test_stall_reported_with_path(self, culling):
-        with pytest.raises(ContinuationStalledError) as exc:
-            optimize_extinction_rate(culling, "max", max_steps=1)
-        assert len(exc.value.path) <= 1
-
     def test_objective_validated(self, culling):
         with pytest.raises(ModelError):
             optimize_extinction_rate(culling, "best")
+
+    def test_revisited_control_is_a_solver_error(self, culling,
+                                                 monkeypatch):
+        # a drift that favours keep, then cull, then keep... sends the
+        # iteration from all-cull to all-keep and back
+        calls = []
+
+        def alternating(jumps, v):
+            calls.append(None)
+            drift = np.full(jumps.shape[:2], 1e3)
+            drift[1 - len(calls) % 2] = 0.0
+            return drift
+
+        monkeypatch.setattr(asymptotics, "_action_drift", alternating)
+        with pytest.raises(SolverError, match="revisited"):
+            optimize_extinction_rate(culling, "max")
+        assert len(calls) == 2
+
+    @staticmethod
+    def _agrees_with_enumeration(model, objective, rel=0.0):
+        opt = optimize_extinction_rate(model, objective)
+        lam = brute_force_control_opt(model, objective).lam
+        assert abs(opt.lam - lam) <= rel * lam
+        assert opt.slack <= opt.floor
+        sign = 1.0 if objective == "max" else -1.0
+        lams = [step.lam for step in opt.steps]
+        assert all(sign * (b - a) >= -rel * lam
+                   for a, b in zip(lams, lams[1:]))
+        assert len({step.control for step in opt.steps}) == len(lams)
+
+    @pytest.mark.parametrize("objective", ["max", "min"])
+    @pytest.mark.parametrize("seed", [*range(40), 62])
+    def test_irreducible_draws_match_enumeration(self, seed, objective):
+        # births never stop, so every window is irreducible; the discount
+        # continuation this replaced stalled on max for seeds 3-7, 15,
+        # 17, 18, 23, 25, 33 and 38, and fell short of the optimum on 62
+        level = 4 + seed % 4
+        model = _random_model(2 + seed % 2, 1 + seed % 3, level, seed,
+                              stop=level + 1)
+        self._agrees_with_enumeration(model, objective)
+
+    @pytest.mark.parametrize("objective", ["max", "min"])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 7, 8, 9, 10])
+    def test_reducible_draws_match_enumeration(self, seed, objective):
+        # births under action 0 stop at a random state (the first ten
+        # seeds whose enumeration converges; seed 6's does not).  A
+        # switch in a row above the class that attains lam leaves lam
+        # unchanged, so controls tie and their rates differ by rounding:
+        # enumeration's argmax and the steps' rates agree to that only
+        model = _random_model(2 + seed % 2, 1 + seed % 3, 4 + seed % 4, seed)
+        self._agrees_with_enumeration(model, objective, rel=1e-12)
 
 
 class TestLimitTheorem:

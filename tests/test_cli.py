@@ -196,8 +196,13 @@ class TestRateOpt:
         lam = [l for l in out.splitlines() if l.startswith("lambda")][0]
         assert float(lam.split("=")[1]) == pytest.approx(
             0.9290248887341586, abs=1e-9)
+        slack = [l for l in out.splitlines()
+                 if l.startswith("certificate_slack")][0]
+        floor = [l for l in out.splitlines()
+                 if l.startswith("certificate_floor")][0]
+        assert float(slack.split("=")[1]) <= float(floor.split("=")[1])
         header, rows = read_csv(tmp_path / "steps.csv")
-        assert header == ["step", "beta_per_s", "lambda_per_s", "control"]
+        assert header == ["step", "lambda_per_s", "control"]
         assert len(rows) >= 1
 
     def test_min_objective(self, tmp_path, capsys):
