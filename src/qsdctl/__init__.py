@@ -11,8 +11,8 @@ rates and frontier scaling (asymptotics), and a command line (cli).
 
 from .asymptotics import (EnumerationResult, LimitCheck, RateOptimum,
                           SpotCheck, brute_force_control_opt,
-                          brute_force_value_opt, corollary_spot_check,
-                          limit_theorem_check, optimize_extinction_rate)
+                          corollary_spot_check, limit_theorem_check,
+                          optimize_extinction_rate)
 from .errors import (AllControlsInfeasibleError, CapExceededError,
                      EnvelopeViolationError, ExpressionSyntaxError,
                      HypothesisFailureWarning, InfeasibleBetaError,

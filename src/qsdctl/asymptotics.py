@@ -5,8 +5,7 @@ Three independent routes cross-check each other here:
 
 * brute-force enumeration of every stationary control on a small
   window: rates and profiles by one stacked inverse iteration over the
-  living blocks of all controls (equal to solve_qsd's to the bit),
-  values by one linear solve per control;
+  living blocks of all controls (equal to solve_qsd's to the bit);
 * spectral policy iteration, which improves a control row by row on
   its quasi-stationary profile eta until a Collatz-Wielandt inequality
   certifies that no stationary control has a more extreme rate;
@@ -21,12 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (AllControlsInfeasibleError, InfeasibleBetaError,
-                     ModelError, SolverError)
+from .errors import InfeasibleBetaError, ModelError, SolverError
 from .generator import (_action_drift, _action_jumps, _control_assignments,
                         _stacked_band, build_generator,
                         enumerate_markov_controls)
-from .hjb import _cost_vector, evaluate_policy, policy_iteration
+from .hjb import policy_iteration
 from .models import MarkovControl, ModelSpec
 from .qsd import _EPS, _solve_qsd_stacked, solve_qsd
 from .simulate import (HistoryPolicy, MonteCarloEstimate, SimConfig,
@@ -35,7 +33,7 @@ from .simulate import (HistoryPolicy, MonteCarloEstimate, SimConfig,
 
 __all__ = [
     "RATE_TOL", "EnumerationResult",
-    "brute_force_control_opt", "brute_force_value_opt", "RateStep",
+    "brute_force_control_opt", "RateStep",
     "RateOptimum", "optimize_extinction_rate", "LimitCheck",
     "limit_theorem_check", "SpotCheck", "corollary_spot_check",
 ]
@@ -109,48 +107,6 @@ def brute_force_control_opt(model: ModelSpec, objective: str = "max",
         objective, float(lams[best]), control, count,
         lams if keep_all else None, tuple(controls) if keep_all else None,
         pis, etas)
-
-
-def brute_force_value_opt(model: ModelSpec, beta: float, mode: str,
-                          level: int | None = None, cap: int = 10 ** 6
-                          ) -> tuple[np.ndarray, MarkovControl]:
-    """Optimal discounted value by enumerating every stationary control
-    and solving each linear system.  The optimum is taken pointwise at
-    the initial state 1 (on these windows the optimal control turns out
-    uniform in the initial state; the returned vector is the full value
-    of the winning control).
-
-    In min mode, controls whose extinction rate is at or below beta
-    price at +infinity and drop out; if that removes all of them the
-    refusal names the situation.  In max mode a single infeasible
-    control makes the supremum infinite and the whole query is refused.
-    """
-    _check_objective(mode)
-    level = model.level if level is None else int(level)
-    controls = list(enumerate_markov_controls(model, level, cap))
-
-    def value_of(c: MarkovControl):
-        gen = build_generator(model, c, level)
-        try:
-            return evaluate_policy(gen, _cost_vector(model, c, level), beta)
-        except InfeasibleBetaError:
-            return None
-
-    values = [value_of(c) for c in controls]
-    if mode == "max" and any(v is None for v in values):
-        bad = controls[[i for i, v in enumerate(values) if v is None][0]]
-        raise InfeasibleBetaError(
-            f"control {bad.assignment} has extinction rate <= beta={beta:g}; "
-            "the maximal discounted value is infinite", beta=beta)
-    feasible = [(v, c) for v, c in zip(values, controls) if v is not None]
-    if not feasible:
-        raise AllControlsInfeasibleError(
-            f"no stationary control on 1..{level} has extinction rate above "
-            f"beta={beta:g}", beta=beta,
-            diagnostic="beta exceeds truncated lambda-star")
-    pick = min if mode == "min" else max
-    v_best, c_best = pick(feasible, key=lambda vc: vc[0][1])
-    return v_best, c_best
 
 
 # ---------------------------------------------------------------------

@@ -1,18 +1,22 @@
-"""Truncated generator matrices.
+"""Truncated generators, stored as their band.
 
-The chain is cut at a level N.  Rows are the usual jump rates except
-that every birth that would land at or above N is lumped onto column N,
-so no probability mass leaves the window {0..N}.  A lumped birth from
-state N itself would be a self-loop; self-loops carry no information in
-a generator, so that mass cancels against the diagonal and the
-effective outflow at N is the death rate alone.  Row 0 is identically
-zero (absorbing).
+The chain is cut at a level N.  From state x it dies to x-1 or gives
+birth up to x+k_max, and every birth that would land at or above N is
+lumped onto N, so no mass leaves the window {0..N}.  A lumped birth
+from N itself is a self-loop, which carries no information in a
+generator and is dropped, so the outflow at N is the death rate alone.
+State 0 is absorbing.
+
+A generator holds only this band, O(N k_max) numbers.  The solvers read
+it through the banded products A v and p A below and qsd's banded
+factor; the dense matrix is built only when asked for.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -26,24 +30,78 @@ __all__ = ["TruncatedGenerator", "build_generator",
 
 @dataclass(frozen=True, eq=False)
 class TruncatedGenerator:
-    """Dense generator on {0..N}.  Off-diagonal entries are jump rates,
-    the diagonal makes every row sum to zero, and row 0 is zero."""
+    """Generator on {0..N} stored as its band: death[x-1] = d(x), the
+    rate x -> x-1, and births[x-1, j-1] the rate x -> x+j, lumped at N
+    and zero past it.  The dense matrix (off-diagonal entries the jump
+    rates, a diagonal that makes every row sum to zero, row 0 zero) is a
+    view built from the band on first use and then kept."""
 
     level: int
-    matrix: np.ndarray  # (N+1, N+1), float64
+    death: np.ndarray    # (N,)
+    births: np.ndarray   # (N, k), k the largest jump any state takes
+
+    @cached_property
+    def exits(self) -> np.ndarray:
+        """Exit rates of the living states, the diagonal negated."""
+        return _exit_rates(self.death, self.births)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense (N+1, N+1) generator."""
+        n = self.level
+        q = np.zeros((n + 1, n + 1))
+        xs = np.arange(1, n + 1)
+        q[xs, xs - 1] = self.death
+        q[xs, xs] = -self.exits
+        for j in range(1, self.births.shape[1] + 1):
+            q[xs[:-j], xs[:-j] + j] = self.births[:-j, j - 1]
+        return q
 
     @property
     def active(self) -> np.ndarray:
-        """Restriction to the living states {1..N} (a view)."""
+        """Restriction of matrix to the living states {1..N} (a view)."""
         return self.matrix[1:, 1:]
 
     def max_exit_rate(self) -> float:
-        return float(np.max(-np.diag(self.matrix)))
+        return float(self.exits.max())
 
     def uniformization_rate(self) -> float:
         """Rate strictly dominating every exit rate (1% headroom)."""
         r = self.max_exit_rate()
         return 1.01 * r if r > 0 else 1.0
+
+
+# The band of one living block is death (N,) and births (N, k); a stack
+# of blocks of one size is death (B, N) and births (B, N, k).  Every
+# function below takes either, works along the last axes, and sums in
+# the same order whatever k, so a zero column of births changes nothing.
+
+def _exit_rates(death: np.ndarray, births: np.ndarray) -> np.ndarray:
+    """d(x) + b_1(x) + ... + b_k(x), summed left to right."""
+    out = death.copy()
+    for j in range(births.shape[-1]):
+        out += births[..., j]
+    return out
+
+
+def _matvec(death: np.ndarray, births: np.ndarray,
+            v: np.ndarray) -> np.ndarray:
+    """A v, A the living block of the band."""
+    out = -_exit_rates(death, births) * v
+    out[..., 1:] += death[..., 1:] * v[..., :-1]
+    for j in range(1, births.shape[-1] + 1):
+        out[..., :-j] += births[..., :-j, j - 1] * v[..., j:]
+    return out
+
+
+def _vecmat(death: np.ndarray, births: np.ndarray,
+            p: np.ndarray) -> np.ndarray:
+    """p A, A the living block of the band."""
+    out = -_exit_rates(death, births) * p
+    out[..., :-1] += death[..., 1:] * p[..., 1:]
+    for j in range(1, births.shape[-1] + 1):
+        out[..., j:] += births[..., :-j, j - 1] * p[..., :-j]
+    return out
 
 
 def _control_rates(model: ModelSpec, control: MarkovControl, level: int,
@@ -63,26 +121,41 @@ def _control_rates(model: ModelSpec, control: MarkovControl, level: int,
     return actions, rates
 
 
-def _jump_table(birth: np.ndarray, death: np.ndarray, pmf: np.ndarray,
-                level: int):
-    """Every jump out of the living states 1..n, n = len(birth) <= level.
-
-    Row x-1 of targets is (x-1, min(x+1, level), ..., min(x+k_max,
-    level)) and the same row of rates is (d(x), b(x) p_1, ..., b(x)
-    p_k_max): a death, then a birth of each progeny size, lumped onto
-    the level when it would land above it.  pmf is one progeny law of
-    shape (k_max,) or one per state, (n, k_max).
-    """
-    targets = _jump_targets(len(birth), pmf.shape[-1], level)
-    rates = np.concatenate((death[:, None], birth[:, None] * pmf), axis=1)
-    return targets, rates
+def _jump_rates(birth: np.ndarray, death: np.ndarray,
+                pmf: np.ndarray) -> np.ndarray:
+    """Every jump out of the living states 1..n, n = len(birth): row x-1
+    is (d(x), b(x) p_1, ..., b(x) p_k_max), a death, then a birth of
+    each progeny size (targets from _jump_targets).  pmf is one progeny
+    law of shape (k_max,) or one per state, (n, k_max)."""
+    return np.concatenate((death[:, None], birth[:, None] * pmf), axis=1)
 
 
 def _jump_targets(n: int, k_max: int, level: int) -> np.ndarray:
-    """The targets of _jump_table's rows for the states 1..n."""
+    """The targets of _jump_rates's rows for the states 1..n: row x-1 is
+    (x-1, min(x+1, level), ..., min(x+k_max, level)), births lumped onto
+    the level when they would land above it."""
     steps = np.arange(k_max + 1)
     steps[0] = -1
     return np.minimum(np.arange(1, n + 1)[:, None] + steps, level)
+
+
+def _lump(rates: np.ndarray):
+    """The band of the window {0..N} from _jump_rates's rows on 1..N
+    (last two axes (N, k_max + 1), any leading axes kept): death holds
+    d(1..N) and births[..., x-1, j-1] the rate x -> x+j, j up to
+    min(k_max, N - 1).  Births that would land above N are lumped onto
+    N, summed in table order, and a birth from N itself is a self-loop
+    and dropped."""
+    n, k_max = rates.shape[-2], rates.shape[-1] - 1
+    k = min(k_max, n - 1)
+    room = np.arange(n - 1, -1, -1)[:, None]       # N - x for x = 1..N
+    births = np.where(np.arange(1, k + 1) <= room, rates[..., 1:k + 1], 0.0)
+    # each of the top k states sends every jump of size room or more to
+    # N; a running sum from zero adds them in table order
+    top = np.arange(n - 1 - k, n - 1)
+    tail = np.where(np.arange(k_max + 1) >= room[top], rates[..., top, :], 0.0)
+    births[..., top, n - 2 - top] = np.cumsum(tail, axis=-1)[..., -1]
+    return np.ascontiguousarray(rates[..., 0]), births
 
 
 def build_generator(model: ModelSpec, control: MarkovControl,
@@ -102,28 +175,24 @@ def build_generator(model: ModelSpec, control: MarkovControl,
 
     actions, (birth, death) = _control_rates(model, control, n,
                                              ("birth", "death"))
-    targets, rates = _jump_table(birth[1:], death[1:],
-                                 model.progeny.tables[actions], n)
-    # scatter row by row in table order, summing births lumped together
-    xs = np.arange(1, n + 1)
-    cells = xs[:, None] * (n + 1) + targets
-    q = np.bincount(cells.ravel(), weights=rates.ravel(),
-                    minlength=(n + 1) ** 2).reshape(n + 1, n + 1)
-    q[xs, xs] = 0.0  # a lumped self-loop at N carries no information
-    q[xs, xs] = -q[1:].sum(axis=1)
-    return TruncatedGenerator(n, q)
+    death, births = _lump(_jump_rates(birth[1:], death[1:],
+                                      model.progeny.tables[actions]))
+    # the band is as wide as the largest jump taken: none on pure death
+    taken = np.flatnonzero(births.any(axis=0))
+    k = int(taken[-1]) + 1 if taken.size else 0
+    return TruncatedGenerator(n, death, np.ascontiguousarray(births[:, :k]))
 
 
 def _action_jumps(model: ModelSpec, level: int) -> np.ndarray:
-    """_jump_table's rates on 1..level under every action: (m, level,
+    """_jump_rates's rows on 1..level under every action: (m, level,
     k_max + 1), each action's formulas evaluated once on the whole
     window.  Raises ModelError on a negative or non-finite rate, naming
     the first in action order, then state order."""
     xs = np.arange(1, level + 1)
     return np.array([
-        _jump_table(model._vector(model.birth, "birth", a, xs),
+        _jump_rates(model._vector(model.birth, "birth", a, xs),
                     model._vector(model.death, "death", a, xs),
-                    model.progeny.pmf(a), level)[1]
+                    model.progeny.pmf(a))
         for a in range(model.num_actions)])
 
 
@@ -146,27 +215,10 @@ def _control_assignments(num_actions: int, level: int, start: int,
 
 
 def _stacked_band(jumps: np.ndarray, assignments: np.ndarray):
-    """The living blocks of many controls, as build_generator would
-    lay them out: death (B, N) holds d(1), ..., d(N) per control and
-    births (B, N, k) the rates from state x+1 up j states at [b, x, j-1],
-    k = min(k_max, N - 1).  jumps comes from _action_jumps and each
-    control's rates are gathered from it row by row.  Births that would
-    land above N are lumped onto N, summed in bincount's order, and a
-    birth from N itself is a self-loop and dropped."""
-    n = assignments.shape[1]
-    k_max = jumps.shape[2] - 1
-    rates = jumps[assignments, np.arange(n)]
-    death = np.ascontiguousarray(rates[:, :, 0])
-    births = rates[:, :, 1:min(k_max, n - 1) + 1].copy()
-    births[:, n - 1] = 0.0
-    for r in range(1, min(k_max, n)):
-        # state N - r: progeny sizes r..k_max all land on N
-        lumped = rates[:, n - 1 - r, r].copy()
-        for j in range(r + 1, k_max + 1):
-            lumped += rates[:, n - 1 - r, j]
-        births[:, n - 1 - r, r - 1] = lumped
-        births[:, n - 1 - r, r:] = 0.0
-    return death, births
+    """The bands of many controls, death (B, N) and births (B, N, k) as
+    _lump lays them out, each control's rates gathered row by row from
+    _action_jumps's table."""
+    return _lump(jumps[assignments, np.arange(assignments.shape[1])])
 
 
 def enumerate_markov_controls(model: ModelSpec, level: int,

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import (InfeasibleBetaError, PolicyIterationError, SolverError)
 from .generator import (TruncatedGenerator, _action_drift, _action_jumps,
-                        _control_rates, build_generator)
+                        _control_rates, _matvec, build_generator)
 from .models import MarkovControl, ModelSpec
 from .qsd import _BandedFactor, _residual_floor, solve_qsd
 
@@ -113,7 +113,8 @@ def evaluate_policy(gen: TruncatedGenerator, cost: np.ndarray, beta: float,
     factor = _factor or _BandedFactor.of(gen, beta)
     v = np.zeros(n + 1)
     v[1:] = factor.solve(f[1:])
-    rn = float(np.max(np.abs(f[1:] + beta * v[1:] + gen.active @ v[1:])))
+    rn = float(np.max(np.abs(f[1:] + beta * v[1:]
+                             + _matvec(gen.death, gen.births, v[1:]))))
     contract = 1e-10 * (1.0 + float(np.max(f)))
     if rn > contract + _residual_floor(factor.norm, v):
         raise SolverError(
@@ -122,36 +123,45 @@ def evaluate_policy(gen: TruncatedGenerator, cost: np.ndarray, beta: float,
     return v
 
 
-def _action_scores(model: ModelSpec, v: np.ndarray, level: int) -> np.ndarray:
-    """scores[a, x-1] = f(x, a) + (L_a v)(x) on the truncated window."""
+def _action_table(model: ModelSpec, level: int):
+    """Every action's cost (m, level) and jumps (_action_jumps) on
+    1..level, each formula evaluated once."""
     xs = np.arange(1, level + 1)
     costs = np.array([model._vector(model.cost, "cost", a, xs)
                       for a in range(model.num_actions)])
-    return costs + _action_drift(_action_jumps(model, level), v)
+    return costs, _action_jumps(model, level)
+
+
+def _action_scores(table, v: np.ndarray) -> np.ndarray:
+    """scores[a, x-1] = f(x, a) + (L_a v)(x) on the truncated window,
+    for a table from _action_table."""
+    costs, jumps = table
+    return costs + _action_drift(jumps, v)
+
+
+def _check_mode(mode: str):
+    if mode not in ("min", "max"):
+        raise SolverError(f"mode must be 'min' or 'max', got {mode!r}")
 
 
 def improve_policy(model: ModelSpec, v: np.ndarray, beta: float,
-                   mode: str) -> MarkovControl:
+                   mode: str, _table=None) -> MarkovControl:
     """One Howard improvement step: at each state pick the action
     optimizing f + L v.  beta plays no role in the argopt (the beta v
     term is action independent); it is accepted for interface symmetry.
     Ties break to the lowest action index."""
-    if mode not in ("min", "max"):
-        raise SolverError(f"mode must be 'min' or 'max', got {mode!r}")
-    level = len(v) - 1
-    scores = _action_scores(model, v, level)
+    _check_mode(mode)
+    scores = _action_scores(_table or _action_table(model, len(v) - 1), v)
     idx = np.argmin(scores, axis=0) if mode == "min" else np.argmax(scores, axis=0)
     return MarkovControl(tuple(int(i) for i in idx))
 
 
 def hjb_residual(model: ModelSpec, v: np.ndarray, beta: float,
-                 mode: str) -> np.ndarray:
+                 mode: str, _table=None) -> np.ndarray:
     """Pointwise defect beta v(x) + opt_a [f(x,a) + (L_a v)(x)] on
     {1..N}; zero exactly at a solution of the optimality equation."""
-    if mode not in ("min", "max"):
-        raise SolverError(f"mode must be 'min' or 'max', got {mode!r}")
-    level = len(v) - 1
-    scores = _action_scores(model, v, level)
+    _check_mode(mode)
+    scores = _action_scores(_table or _action_table(model, len(v) - 1), v)
     opt = scores.min(axis=0) if mode == "min" else scores.max(axis=0)
     return beta * v[1:] + opt
 
@@ -195,10 +205,11 @@ def policy_iteration(model: ModelSpec, beta: float, mode: str,
     raises InfeasibleBetaError; in min mode that is strong evidence beta
     exceeds the truncated optimal rate.
     """
-    if mode not in ("min", "max"):
-        raise SolverError(f"mode must be 'min' or 'max', got {mode!r}")
+    _check_mode(mode)
     level = model.level if level is None else int(level)
     current, gen, lam = _first_evaluable_constant(model, beta, level)
+    # the rates do not change from sweep to sweep
+    table = _action_table(model, level)
 
     records: list[IterationRecord] = []
     v_prev = None
@@ -220,7 +231,7 @@ def policy_iteration(model: ModelSpec, beta: float, mode: str,
         records.append(IterationRecord(
             it, changes, max(abs(delta_up), abs(delta_down)),
             delta_up, delta_down, lam))
-        improved = improve_policy(model, v, beta, mode)
+        improved = improve_policy(model, v, beta, mode, _table=table)
         if improved == current:
             break
         previous, current = current, improved
@@ -241,7 +252,8 @@ def policy_iteration(model: ModelSpec, beta: float, mode: str,
             f"policy not stable after {max_iter} iterations",
             trace=PolicyIterationTrace(tuple(records), "max-iter"))
 
-    residual = float(np.max(np.abs(hjb_residual(model, v, beta, mode))))
+    residual = float(np.max(np.abs(
+        hjb_residual(model, v, beta, mode, _table=table))))
     floor = _residual_floor(factor.norm, v)
     if residual > tol + floor:
         raise PolicyIterationError(

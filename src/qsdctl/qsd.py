@@ -48,7 +48,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ModelError, NonConvergenceError, SolverError, ThresholdNotFoundError
-from .generator import TruncatedGenerator, _jump_table, build_generator
+from .generator import (TruncatedGenerator, _jump_rates, _jump_targets,
+                        _matvec, _vecmat, build_generator)
 from .models import MarkovControl, ModelSpec, validate_hypotheses, CLAUSE_DEATH_FLOOR
 
 __all__ = [
@@ -143,22 +144,6 @@ def _lapack():
         from scipy.linalg.lapack import dtbtrs, zgbtrf, zgbtrs
 
 
-_NOT_BIRTH_DEATH = ("living block is not a birth-death generator with one "
-                    "death step and nonnegative rates")
-
-
-def _band(gen: TruncatedGenerator) -> list[np.ndarray]:
-    """The diagonals -1, 0, ..., k_max of the living block A, the death
-    rates A[x+1, x] first, with k_max found by one scan for nonzeros.
-    Raises SolverError when A jumps more than one step down."""
-    a = gen.active
-    rows, cols = np.nonzero(a)
-    off = cols - rows
-    if off.min(initial=0) < -1:
-        raise SolverError(_NOT_BIRTH_DEATH)
-    return [np.diagonal(a, j) for j in range(-1, int(off.max(initial=0)) + 1)]
-
-
 @dataclass(frozen=True, eq=False)
 class _BandedFactor:
     """M = -(A + shift I) = L U for the living block A, without pivoting.
@@ -195,24 +180,27 @@ class _BandedFactor:
     @classmethod
     def of(cls, gen: TruncatedGenerator, shift: float = 0.0
            ) -> "_BandedFactor":
-        diags = _band(gen)
-        n = gen.level
-        k = len(diags) - 2
-        births = np.zeros((n, k))
-        for j in range(1, k + 1):
-            births[:n - j, j - 1] = diags[j + 1]
-        return cls.from_band(diags[0], births, gen.matrix[1:, 0], shift)
+        return cls.from_band(gen.death, gen.births, shift)
 
     @classmethod
     def from_band(cls, death: np.ndarray, births: np.ndarray,
-                  absorb: np.ndarray, shift: float = 0.0) -> "_BandedFactor":
-        """Factor the block with sub-diagonal death (A[x+1, x], N - 1
-        entries), births[x, j-1] = A[x, x+j] (zero past the block) and
-        absorption rates absorb (A's rates into state 0)."""
+                  shift: float = 0.0) -> "_BandedFactor":
+        """Factor the living block of a band (death[x-1] = d(x) and
+        births[x-1, j-1] the rate x -> x+j, zero past the block), or of
+        a stack of them ((B, N) and (B, N, k)) laid end to end as one
+        block-diagonal band: a block's first state dies into 0, so
+        nothing couples the blocks, and each block's part of the factor
+        is the one its band alone gives."""
         _lapack()
-        n, k = births.shape
-        if births.min(initial=0.0) < 0 or absorb.min() < 0:
-            raise SolverError(_NOT_BIRTH_DEATH)
+        if births.min(initial=0.0) < 0 or death.min(initial=0.0) < 0:
+            raise SolverError("band has a negative rate: not a generator")
+        k = births.shape[-1]
+        # a block's first state dies into 0: its death rate is absorbed
+        blocks = death.reshape(-1, death.shape[-1])
+        absorb = np.zeros_like(blocks)
+        absorb[:, 0] = blocks[:, 0]
+        inner = blocks - absorb
+        n = blocks.size
 
         # Eliminate state by state; Python floats beat numpy calls on
         # rows this short.  row[j-1] is the magnitude of U[x, x+j], the
@@ -220,14 +208,14 @@ class _BandedFactor:
         # rate of the updated row; a row's norm is its shifted exit rate
         # in magnitude plus its jump rates.  State 1 dies into 0, which
         # folds nothing into it: a zero row with pivot 1.
-        rows_left = births.tolist()
+        rows_left = births.reshape(n, k).tolist()
         prev, pivot, kept = [0.0] * k, 1.0, 0.0
         pivots = []
         mults = []          # -g: state 1's dummy, then L below the diagonal
         norms = []
         tops = []
         for x, (dx, ax, row) in enumerate(zip(
-                [0.0] + death.tolist(), (absorb - shift).tolist(),
+                inner.ravel().tolist(), (absorb.ravel() - shift).tolist(),
                 rows_left), 1):
             jumps = dx + sum(row)
             norms.append(abs(ax + jumps) + jumps)
@@ -304,9 +292,8 @@ def solve_qsd(gen: TruncatedGenerator, tol: float = 1e-10,
     as the one holding the peak of pi * eta; the states above it are
     left out of the stop and come back as exact zeros.
     """
-    _check_absorbing_reachable(np.diagonal(gen.matrix, -1))
+    _check_absorbing_reachable(gen.death)
     factor = _BandedFactor.of(gen)
-    a = gen.active
     n = gen.level
     pi = np.full(n, 1.0 / n)
     eta = np.ones(n)
@@ -337,8 +324,8 @@ def solve_qsd(gen: TruncatedGenerator, tol: float = 1e-10,
             pi[support:] = 0.0
             pi /= pi.sum()
         eta_s = eta / float(pi @ eta)
-        res_l = float(abs(pi @ a + lam * pi).max())
-        res_r = float(abs(a @ eta_s + lam * eta_s).max())
+        res_l, res_r = map(float, _residuals(gen.death, gen.births, pi,
+                                             eta_s, lam))
         floor = _residual_floor(factor.norm, eta_s)
         if max(res_l, res_r) <= max(tol, floor):
             pi[pi < _UNRESOLVED] = 0.0
@@ -350,6 +337,15 @@ def solve_qsd(gen: TruncatedGenerator, tol: float = 1e-10,
                 reducible_warning=births and bool((pi == 0.0).any()))
     raise NonConvergenceError(
         f"inverse iteration did not reach tol={tol} in {max_iter} iterations")
+
+
+def _residuals(death: np.ndarray, births: np.ndarray, pi: np.ndarray,
+               eta: np.ndarray, lam) -> tuple:
+    """max |pi A + lam pi| and max |A eta + lam eta| along the last axis,
+    for one block of a band or a stack of them: solve_qsd and
+    _solve_qsd_stacked stop on these, so both stop on the same step."""
+    return (abs(_vecmat(death, births, pi) + lam * pi).max(axis=-1),
+            abs(_matvec(death, births, eta) + lam * eta).max(axis=-1))
 
 
 def _blocks_of(band: np.ndarray, keep: np.ndarray, size: int) -> np.ndarray:
@@ -365,20 +361,16 @@ def _solve_qsd_stacked(death: np.ndarray, births: np.ndarray,
 
     Row b of death holds block b's death rates d(1), ..., d(N), and
     births[b, x, j-1] its rate from state x+1 up j states, lumped at N
-    already.  The blocks are laid end to end as one block-diagonal band
-    and factored once: a block's first state dies into 0, so nothing
-    couples them, and each block's part of the factor is the one
-    _BandedFactor.of would build for it alone.  The two-sided inverse
-    iteration then runs on the whole stack, with every reduction taken
-    per block: stacked matmul for the dot products, sum and max along
-    the rows, per-block norms and class tops.  Each block stops on
-    solve_qsd's rule, the support rule of reducible windows included,
-    and leaves the stack.  The stop tests the residuals of the block
-    as build_generator lays it out, multiplied as solve_qsd multiplies
-    it: a banded mat-vec rounds differently, and a residual within a
-    rounding of tol then stops one step apart.  So lam, pi, eta and the
-    iteration counts are solve_qsd's, to the bit on the platforms the
-    tests run on.  One generator alone is faster through solve_qsd.
+    already.  The stack is factored once as one block-diagonal band
+    (_BandedFactor.from_band), and the two-sided inverse iteration runs
+    on all of it, with every reduction taken per block: stacked matmul
+    for the dot products, sum and max along the rows, per-block norms
+    and class tops.  Each block stops on solve_qsd's rule, the support
+    rule of reducible windows included, and leaves the stack; the
+    residuals come from the banded products solve_qsd uses.  So lam,
+    pi, eta and the iteration counts are solve_qsd's, to the bit on the
+    platforms the tests run on.  One generator alone is faster through
+    solve_qsd.
 
     Returns lam (B,), pi (B, N), eta (B, N) and iterations (B,).
     Raises ModelError on a zero death rate, naming the first in block
@@ -387,29 +379,10 @@ def _solve_qsd_stacked(death: np.ndarray, births: np.ndarray,
     """
     _check_absorbing_reachable(death)
     nb, n = death.shape
-    sub = death.copy()
-    sub[:, 0] = 0.0
-    absorb = np.zeros_like(death)
-    absorb[:, 0] = death[:, 0]
-    factor = _BandedFactor.from_band(sub.ravel()[1:],
-                                     births.reshape(nb * n, -1),
-                                     absorb.ravel())
+    factor = _BandedFactor.from_band(death, births)
     norms = factor.norms.reshape(nb, n).max(axis=1)
     tops = np.array(factor.tops)
     states = np.arange(n)
-
-    def residuals(b, pi, eta, lam):
-        """max |pi A + lam pi| and max |A eta + lam eta| for blocks b,
-        with A as gen.active holds it."""
-        q = np.zeros((len(b), n, n + 1))      # rows 1..N of the generator
-        q[:, states, states] = death[b]
-        for j in range(1, births.shape[2] + 1):
-            q[:, states[:-j], states[:-j] + 1 + j] = births[b, :-j, j - 1]
-        q[:, states, states + 1] = -q.sum(axis=2)
-        a = q[:, :, 1:]
-        left = np.matmul(pi[:, None, :], a)[:, 0] + lam * pi
-        right = np.matmul(a, eta[:, :, None])[:, :, 0] + lam * eta
-        return abs(left).max(axis=1), abs(right).max(axis=1)
 
     lam_out = np.empty(nb)
     pi_out = np.empty((nb, n))
@@ -455,7 +428,8 @@ def _solve_qsd_stacked(death: np.ndarray, births: np.ndarray,
             pi[i] /= pi[i].sum()
         p, e = pi[settled], eta[settled]
         e /= np.matmul(p[:, None, :], e[:, :, None])[:, 0]
-        res_l, res_r = residuals(b, p, e, lam[settled, None])
+        res_l, res_r = _residuals(death[b], births[b], p, e,
+                                  lam[settled, None])
         floor = 8 * _EPS * norms[b] * (1.0 + abs(e).max(axis=1))
         done = np.maximum(res_l, res_r) <= np.maximum(tol, floor)
         if not done.any():
@@ -563,15 +537,17 @@ class _Transient:
     sums are off by up to 1e94.  exp(tA) is entrywise nonnegative, so a
     certified sum is clipped at 0.
 
-    The band is read once, the dense block and the uniformization rate
-    only on a first fallback.  Each sum factors its nodes as it goes and
-    drops them.
+    The dense block and the uniformization rate are read only on a first
+    fallback.  Each sum factors its nodes as it goes and drops them.
     """
 
     def __init__(self, gen: TruncatedGenerator):
         _lapack()
         self.gen = gen
-        self.diags = _band(gen)
+        n, k = gen.births.shape
+        # diagonals -1, 0, 1, ..., k of the living block
+        self.diags = [gen.death[1:], -gen.exits,
+                      *(gen.births[:n - j, j - 1] for j in range(1, k + 1))]
 
     @cached_property
     def dense(self) -> np.ndarray:
@@ -816,14 +792,15 @@ def lyapunov_threshold(model: ModelSpec, lam: float,
     # no jump from 1..n_check is lumped on a window k_max states wider
     wide = n_check + model.progeny.k_max
     psi = _psi_values(wide, c.epsilon)
+    targets = _jump_targets(n_check, model.progeny.k_max, wide)
     worst = np.full(n_check, -np.inf)
     for a in range(model.num_actions):
         b, d, _ = model.rate_tables(a, n_check)
-        targets, rates = _jump_table(b[1:], d[1:], model.progeny.pmf(a), wide)
+        rates = _jump_rates(b[1:], d[1:], model.progeny.pmf(a))
         drift = ((rates * (psi[targets] - psi[1:n_check + 1, None])).sum(axis=1)
                  + lam * psi[1:n_check + 1])
         worst = np.maximum(worst, drift)
-    bad = np.nonzero(worst > 0)[0]
+    bad = np.flatnonzero(worst > 0)
     if bad.size and bad[-1] == n_check - 1:
         raise ThresholdNotFoundError(
             f"drift stays positive up to the window edge {n_check}; "

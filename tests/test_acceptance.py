@@ -16,8 +16,7 @@ import scipy.linalg
 import scipy.stats
 
 from qsdctl import policies
-from qsdctl.asymptotics import (brute_force_value_opt, corollary_spot_check,
-                                limit_theorem_check,
+from qsdctl.asymptotics import (corollary_spot_check, limit_theorem_check,
                                 optimize_extinction_rate)
 from qsdctl.cli import main
 from qsdctl.errors import InfeasibleBetaError
@@ -27,6 +26,8 @@ from qsdctl.manifest import file_sha256
 from qsdctl.qsd import (conditional_evolution, eta_limit_check, solve_qsd,
                         survival_profile, total_variation)
 from qsdctl.simulate import SimConfig, simulate_markov, simulate_thinning
+
+from oracles import brute_force_value_opt
 
 
 def report(num: int, ok: bool, text: str) -> bool:
@@ -205,8 +206,8 @@ def test_criterion_07_policy_improvement_dominates(culling):
         f"dominates both constants {'yes' if dominates else 'NO'})")
 
 
-def test_criterion_08_rate_continuation_vs_enumeration(culling):
-    """Discount continuation reproduces the enumerated extremal rates
+def test_criterion_08_spectral_policy_iteration_vs_enumeration(culling):
+    """Spectral policy iteration reproduces the enumerated extremal rates
     exactly (gap 0 within 1e-12): largest 0.9290248887341586 at
     all-cull, smallest 0.474608065007655 at all-keep."""
     opt_max = optimize_extinction_rate(culling, "max", cross_check=True)
@@ -222,7 +223,7 @@ def test_criterion_08_rate_continuation_vs_enumeration(culling):
     ok = all(checks)
     assert report(
         8, ok,
-        f"rate continuation (max {opt_max.lam:.12f} gap "
+        f"spectral policy iteration (max {opt_max.lam:.12f} gap "
         f"{opt_max.cross_check_gap:.1e}, min {opt_min.lam:.12f} gap "
         f"{opt_min.cross_check_gap:.1e})"), checks
 

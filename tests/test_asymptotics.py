@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from qsdctl import asymptotics, policies
 from qsdctl.asymptotics import (brute_force_control_opt,
-                                brute_force_value_opt, corollary_spot_check,
-                                limit_theorem_check,
+                                corollary_spot_check, limit_theorem_check,
                                 optimize_extinction_rate)
 from qsdctl.errors import (AllControlsInfeasibleError, CapExceededError,
                            InfeasibleBetaError, ModelError,
@@ -21,6 +20,7 @@ from qsdctl.models import (Action, ControlSet, HypothesisConstants,
 from qsdctl.qsd import _solve_qsd_stacked, solve_qsd
 from qsdctl.simulate import SimConfig
 
+from oracles import brute_force_value_opt
 from test_models import make_model
 
 CULLING_LAM_MAX = 0.9290248887341586   # all-cull

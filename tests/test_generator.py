@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsdctl.errors import CapExceededError, ModelError
 from qsdctl.expressions import parse_rate_expression as rx
-from qsdctl.generator import build_generator, enumerate_markov_controls
+from qsdctl.generator import (_action_jumps, _control_assignments, _matvec,
+                              _stacked_band, _vecmat, build_generator,
+                              enumerate_markov_controls)
 from qsdctl.hjb import hjb_residual, policy_iteration
 from qsdctl.models import (Action, ControlSet, HypothesisConstants,
                            MarkovControl, ModelSpec, ProgenyDist)
+from qsdctl.qsd import solve_qsd, survival_profile
 
+from test_asymptotics import _random_model
 from test_models import make_model
 
 
@@ -87,6 +91,14 @@ class TestStructure:
             kd = (1.0, 1.5)[ctrl.action_at(x)]
             assert gen.matrix[x, x - 1] == kd * x ** 2
 
+    def test_matrix_built_on_first_read(self, culling):
+        gen = build_generator(culling, culling.constant_control(0), 6)
+        solve_qsd(gen)
+        survival_profile(gen, [0.5])
+        assert "matrix" not in gen.__dict__
+        assert gen.active.base is gen.matrix
+        assert "matrix" in gen.__dict__
+
     def test_uniformization_rate_covers_exits(self, culling):
         gen = build_generator(culling, culling.constant_control(1), 6)
         assert gen.uniformization_rate() >= gen.max_exit_rate()
@@ -99,6 +111,45 @@ class TestStructure:
     def test_control_indices_validated(self, culling):
         with pytest.raises(ModelError):
             build_generator(culling, MarkovControl((7,) * 6), 6)
+
+
+class TestBandedProducts:
+    @settings(max_examples=60, deadline=None)
+    @given(actions=st.integers(min_value=1, max_value=3),
+           k_max=st.integers(min_value=1, max_value=8),
+           level=st.integers(min_value=1, max_value=7),
+           seed=st.integers(min_value=0, max_value=2 ** 31))
+    @example(actions=2, k_max=3, level=1, seed=0)
+    @example(actions=1, k_max=8, level=3, seed=1)
+    def test_products_match_the_dense_matrix(self, actions, k_max, level,
+                                             seed):
+        # A v and p A on a control's band are the products with its
+        # dense matrix up to rounding, and each block of the stacked band
+        # of all controls (full width, so zero columns where a control's
+        # own band is narrower) gives its control's products to the bit
+        model = _random_model(actions, k_max, level, seed)
+        count = actions ** level
+        rng = np.random.default_rng(seed)
+        v, p = rng.standard_normal((2, count, level))
+        death, births = _stacked_band(
+            _action_jumps(model, level),
+            _control_assignments(actions, level, 0, count))
+        right, left = _matvec(death, births, v), _vecmat(death, births, p)
+        eps = np.finfo(float).eps
+        controls = list(enumerate_markov_controls(model, level))
+        for i in rng.choice(count, size=min(count, 8), replace=False):
+            gen = build_generator(model, controls[i], level)
+            a = gen.active
+            av = _matvec(gen.death, gen.births, v[i])
+            pa = _vecmat(gen.death, gen.births, p[i])
+            np.testing.assert_allclose(
+                av, a @ v[i], rtol=0,
+                atol=8 * eps * abs(a).sum(axis=1).max() * abs(v[i]).max())
+            np.testing.assert_allclose(
+                pa, p[i] @ a, rtol=0,
+                atol=8 * eps * abs(a).sum(axis=0).max() * abs(p[i]).max())
+            np.testing.assert_array_equal(av, right[i])
+            np.testing.assert_array_equal(pa, left[i])
 
 
 class TestEnumeration:

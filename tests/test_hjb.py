@@ -168,6 +168,23 @@ class TestOptimality:
             sol = policy_iteration(culling, 0.3, mode)
             assert len(calls) == len(sol.trace.records)
 
+    def test_one_action_table_per_iteration(self, culling, monkeypatch):
+        # every sweep and the final residual read one table of rates
+        calls = []
+        action_table = hjb._action_table
+
+        def counted(*args):
+            calls.append(args)
+            return action_table(*args)
+        monkeypatch.setattr(hjb, "_action_table", counted)
+        sweeps = []
+        for mode in ("min", "max"):
+            calls.clear()
+            sweeps.append(len(policy_iteration(culling, 0.3, mode)
+                              .trace.records))
+            assert len(calls) == 1
+        assert max(sweeps) > 1
+
     def test_value_monotone_in_beta(self, culling):
         keep = culling.constant_control(1)
         gen = build_generator(culling, keep, CULLING_LEVEL)

@@ -11,6 +11,7 @@ from qsdctl.errors import (ModelError, NonConvergenceError, SolverError,
                            ThresholdNotFoundError)
 from qsdctl.expressions import parse_rate_expression as rx
 from qsdctl.generator import build_generator
+from qsdctl.hjb import evaluate_policy
 from qsdctl.models import (Action, ControlSet, HypothesisConstants,
                            MarkovControl, ModelSpec, ProgenyDist)
 from qsdctl.qsd import (_Transient, _uniformized_action,
@@ -155,6 +156,37 @@ class TestWideWindows:
         if level == 1000:
             lam = -float(np.max(scipy.linalg.eigvals(gen.active).real))
             assert sol.lam == pytest.approx(lam, rel=1e-8)
+
+    def test_band_alone_on_wide_windows(self, logistic, logistic_gen,
+                                        logistic_qsd, culling):
+        # a dense 100001-state generator would take 80 GB: the solves run
+        # on the band and never build it.  Far from the edge the wide
+        # window agrees with a narrow one
+        n = 100_000
+        gen = build_generator(logistic, logistic.constant_control(0, n), n)
+        sol = solve_qsd(gen)
+        assert sol.lam == pytest.approx(logistic_qsd.lam, rel=1e-10)
+        assert max(sol.residual_left, sol.residual_right) <= max(
+            1e-10, sol.residual_floor)
+        np.testing.assert_allclose(sol.eta[:50], logistic_qsd.eta[:50],
+                                   rtol=1e-9)
+        cost = np.ones(n + 1)
+        cost[0] = 0.0
+        beta = 0.5 * sol.lam
+        v = evaluate_policy(gen, cost, beta, lam=sol.lam)
+        narrow = evaluate_policy(logistic_gen, cost[:201], beta,
+                                 lam=logistic_qsd.lam)
+        np.testing.assert_allclose(v[:50], narrow[:50], rtol=1e-9)
+        assert "matrix" not in gen.__dict__
+
+        gen = build_generator(culling, culling.constant_control(0, 10_000),
+                              10_000)
+        prof = survival_profile(gen, [1.0])
+        narrow = survival_profile(
+            build_generator(culling, culling.constant_control(0, 50), 50),
+            [1.0])
+        np.testing.assert_allclose(prof[0, :20], narrow[0, :20], rtol=1e-10)
+        assert "matrix" not in gen.__dict__
 
 
 class TestTransient:
