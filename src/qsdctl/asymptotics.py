@@ -22,9 +22,9 @@ import numpy as np
 
 from .errors import InfeasibleBetaError, ModelError, SolverError
 from .generator import (_action_drift, _action_jumps, _control_assignments,
-                        _stacked_band, build_generator,
+                        _control_generator, _stacked_band,
                         enumerate_markov_controls)
-from .hjb import policy_iteration
+from .hjb import _action_table, policy_iteration
 from .models import MarkovControl, ModelSpec
 from .qsd import _EPS, _solve_qsd_stacked, solve_qsd
 from .simulate import (HistoryPolicy, MonteCarloEstimate, SimConfig,
@@ -172,7 +172,8 @@ def optimize_extinction_rate(model: ModelSpec, objective: str = "max",
     rows = np.arange(level)
     consts = [model.constant_control(a, level)
               for a in range(model.num_actions)]
-    sols = [solve_qsd(build_generator(model, c, level)) for c in consts]
+    sols = [solve_qsd(_control_generator(jumps, c.assignment))
+            for c in consts]
     pick = int(np.argmax([sign * q.lam for q in sols]))
     control, sol = consts[pick], sols[pick]
     steps: list[RateStep] = []
@@ -195,7 +196,7 @@ def optimize_extinction_rate(model: ModelSpec, objective: str = "max",
         if control in {s.control for s in steps}:
             raise SolverError(f"spectral policy iteration revisited control "
                               f"{control.assignment}")
-        sol = solve_qsd(build_generator(model, control, level))
+        sol = solve_qsd(_control_generator(jumps, control.assignment))
     enum_lam = enum_control = None
     if cross_check:
         res = brute_force_control_opt(model, objective, level, cap)
@@ -258,11 +259,13 @@ def limit_theorem_check(model: ModelSpec, objective: str = "max", x: int = 1,
     enum = brute_force_control_opt(model, objective, level, cap, keep_all=True)
     lam = enum.lam
 
-    # f(x, c(x)) for every control: every pair (action, state) occurs in
-    # one, so the sup over controls is the sup of the cost table
+    # one table of rates for the reference and every rung, so each
+    # control the rungs solve is solved once.  f(x, c(x)) for every
+    # control: every pair (action, state) occurs in one, so the sup over
+    # controls is the sup of the cost table
+    table = _action_table(model, level)
+    costs = table.costs
     xs = np.arange(1, level + 1)
-    costs = np.array([model._vector(model.cost, "cost", a, xs)
-                      for a in range(model.num_actions)])
     f_sup = max(0.0, float(costs.max()))
     side = []
     for i in np.flatnonzero(abs(enum.lams - lam) <= rate_tol):
@@ -280,7 +283,8 @@ def limit_theorem_check(model: ModelSpec, objective: str = "max", x: int = 1,
     products = np.full(num_betas, np.nan)
     for k, beta in enumerate(betas):
         try:
-            sol = policy_iteration(model, float(beta), hjb_mode, level=level)
+            sol = policy_iteration(model, float(beta), hjb_mode, level=level,
+                                   _table=table)
         except InfeasibleBetaError:
             continue
         products[k] = (lam - beta) * float(sol.v[x])

@@ -175,12 +175,17 @@ def build_generator(model: ModelSpec, control: MarkovControl,
 
     actions, (birth, death) = _control_rates(model, control, n,
                                              ("birth", "death"))
-    death, births = _lump(_jump_rates(birth[1:], death[1:],
-                                      model.progeny.tables[actions]))
-    # the band is as wide as the largest jump taken: none on pure death
+    return _generator(*_lump(_jump_rates(birth[1:], death[1:],
+                                         model.progeny.tables[actions])))
+
+
+def _generator(death: np.ndarray, births: np.ndarray) -> TruncatedGenerator:
+    """The generator of one lumped band, its births cut to the largest
+    jump taken: none on pure death."""
     taken = np.flatnonzero(births.any(axis=0))
     k = int(taken[-1]) + 1 if taken.size else 0
-    return TruncatedGenerator(n, death, np.ascontiguousarray(births[:, :k]))
+    return TruncatedGenerator(len(death), death,
+                              np.ascontiguousarray(births[:, :k]))
 
 
 def _action_jumps(model: ModelSpec, level: int) -> np.ndarray:
@@ -217,8 +222,16 @@ def _control_assignments(num_actions: int, level: int, start: int,
 def _stacked_band(jumps: np.ndarray, assignments: np.ndarray):
     """The bands of many controls, death (B, N) and births (B, N, k) as
     _lump lays them out, each control's rates gathered row by row from
-    _action_jumps's table."""
-    return _lump(jumps[assignments, np.arange(assignments.shape[1])])
+    _action_jumps's table; one control's assignment (N,) gives its band
+    alone."""
+    return _lump(jumps[assignments, np.arange(assignments.shape[-1])])
+
+
+def _control_generator(jumps: np.ndarray, assignment) -> TruncatedGenerator:
+    """build_generator's generator of the control with these actions on
+    1..level, gathered from _action_jumps's table instead of evaluating
+    a formula: the same rates, so the same band to the bit."""
+    return _generator(*_stacked_band(jumps, np.asarray(assignment)))
 
 
 def enumerate_markov_controls(model: ModelSpec, level: int,

@@ -16,18 +16,24 @@ policy_iteration runs Howard's scheme: evaluate, then at every state
 pick the action optimizing f + L v (ties to the lowest action index),
 repeat until the policy is stable.  Each evaluation records the
 iterate's extinction rate, so an infeasible discount surfaces as a
-structured refusal rather than a numerical explosion.
+structured refusal rather than a numerical explosion.  Every action's
+rate and cost formulas are evaluated once per run into an action table
+(_ActionTable), and each iterate's generator and cost are gathered from
+it, bit for bit what build_generator and the formulas give.  The table
+remembers each control's generator and rate, so the rungs of a
+discount ladder that share it (asymptotics.limit_theorem_check) solve
+each control once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (InfeasibleBetaError, PolicyIterationError, SolverError)
 from .generator import (TruncatedGenerator, _action_drift, _action_jumps,
-                        _control_rates, _matvec, build_generator)
+                        _control_generator, _matvec, build_generator)
 from .models import MarkovControl, ModelSpec
 from .qsd import _BandedFactor, _residual_floor, solve_qsd
 
@@ -123,20 +129,45 @@ def evaluate_policy(gen: TruncatedGenerator, cost: np.ndarray, beta: float,
     return v
 
 
-def _action_table(model: ModelSpec, level: int):
+@dataclass(frozen=True, eq=False)
+class _ActionTable:
     """Every action's cost (m, level) and jumps (_action_jumps) on
-    1..level, each formula evaluated once."""
+    1..level.  A control's generator and cost are gathered from them,
+    build_generator's and _control_rates's to the bit, and its
+    generator and extinction rate are kept once solved, so the rungs of
+    a discount ladder that share a table solve each control once."""
+
+    costs: np.ndarray
+    jumps: np.ndarray
+    solved: dict = field(default_factory=dict)
+
+    def cost(self, control: MarkovControl) -> np.ndarray:
+        """The control's cost vector on 0..level, cost[0] = 0."""
+        level = self.costs.shape[1]
+        f = np.zeros(level + 1)
+        f[1:] = self.costs[control.assignment, np.arange(level)]
+        return f
+
+    def solve(self, control: MarkovControl):
+        """The control's generator and extinction rate."""
+        if control.assignment not in self.solved:
+            gen = _control_generator(self.jumps, control.assignment)
+            self.solved[control.assignment] = gen, solve_qsd(gen).lam
+        return self.solved[control.assignment]
+
+
+def _action_table(model: ModelSpec, level: int) -> _ActionTable:
+    """The _ActionTable of the window 1..level, each formula evaluated
+    once."""
     xs = np.arange(1, level + 1)
     costs = np.array([model._vector(model.cost, "cost", a, xs)
                       for a in range(model.num_actions)])
-    return costs, _action_jumps(model, level)
+    return _ActionTable(costs, _action_jumps(model, level))
 
 
-def _action_scores(table, v: np.ndarray) -> np.ndarray:
-    """scores[a, x-1] = f(x, a) + (L_a v)(x) on the truncated window,
-    for a table from _action_table."""
-    costs, jumps = table
-    return costs + _action_drift(jumps, v)
+def _action_scores(table: _ActionTable, v: np.ndarray) -> np.ndarray:
+    """scores[a, x-1] = f(x, a) + (L_a v)(x) on the truncated window."""
+    return table.costs + _action_drift(table.jumps, v)
 
 
 def _check_mode(mode: str):
@@ -166,19 +197,14 @@ def hjb_residual(model: ModelSpec, v: np.ndarray, beta: float,
     return beta * v[1:] + opt
 
 
-def _cost_vector(model: ModelSpec, control: MarkovControl, level: int
-                 ) -> np.ndarray:
-    return _control_rates(model, control, level, ("cost",))[1][0]
-
-
-def _first_evaluable_constant(model: ModelSpec, beta: float, level: int):
+def _first_evaluable_constant(table: _ActionTable, beta: float):
     """Try constant policies in action order; return the first whose
     extinction rate lies above beta, with its generator and rate."""
+    m, level = table.costs.shape
     rates = []
-    for a in range(model.num_actions):
-        control = model.constant_control(a, level)
-        gen = build_generator(model, control, level)
-        lam = solve_qsd(gen).lam
+    for a in range(m):
+        control = MarkovControl((a,) * level)
+        gen, lam = table.solve(control)
         rates.append(lam)
         if beta < lam:
             return control, gen, lam
@@ -192,7 +218,8 @@ def _first_evaluable_constant(model: ModelSpec, beta: float, level: int):
 
 def policy_iteration(model: ModelSpec, beta: float, mode: str,
                      tol: float = 1e-9, max_iter: int = 100,
-                     level: int | None = None) -> ValueSolution:
+                     level: int | None = None,
+                     _table: _ActionTable | None = None) -> ValueSolution:
     """Howard policy iteration for the discounted problem.
 
     Starts from the first constant policy, in action order, whose
@@ -204,19 +231,22 @@ def policy_iteration(model: ModelSpec, beta: float, mode: str,
     or of an iterate along the way (then carrying the partial trace),
     raises InfeasibleBetaError; in min mode that is strong evidence beta
     exceeds the truncated optimal rate.
+
+    Every rate the run reads comes from one _ActionTable of the window:
+    the iterates' generators and costs, the improvement scores and the
+    final residual.
     """
     _check_mode(mode)
     level = model.level if level is None else int(level)
-    current, gen, lam = _first_evaluable_constant(model, beta, level)
-    # the rates do not change from sweep to sweep
-    table = _action_table(model, level)
+    table = _table or _action_table(model, level)
+    current, gen, lam = _first_evaluable_constant(table, beta)
 
     records: list[IterationRecord] = []
     v_prev = None
     v = None
     for it in range(1, max_iter + 1):
         factor = _BandedFactor.of(gen, beta)
-        f = _cost_vector(model, current, level)
+        f = table.cost(current)
         v = evaluate_policy(gen, f, beta, lam=lam, _factor=factor)
         if v_prev is None:
             delta_up = delta_down = 0.0
@@ -236,8 +266,7 @@ def policy_iteration(model: ModelSpec, beta: float, mode: str,
             break
         previous, current = current, improved
         v_prev = v
-        gen = build_generator(model, current, level)
-        lam = solve_qsd(gen).lam
+        gen, lam = table.solve(current)
         if not beta < lam:
             raise InfeasibleBetaError(
                 f"iterate policy has extinction rate {lam:g} <= "

@@ -3,8 +3,9 @@
 import numpy as np
 
 from qsdctl.errors import AllControlsInfeasibleError, InfeasibleBetaError
-from qsdctl.generator import build_generator, enumerate_markov_controls
-from qsdctl.hjb import _cost_vector, evaluate_policy
+from qsdctl.generator import (_control_rates, build_generator,
+                              enumerate_markov_controls)
+from qsdctl.hjb import evaluate_policy
 from qsdctl.models import MarkovControl, ModelSpec
 
 
@@ -28,7 +29,8 @@ def brute_force_value_opt(model: ModelSpec, beta: float, mode: str,
     def value_of(c: MarkovControl):
         gen = build_generator(model, c, level)
         try:
-            return evaluate_policy(gen, _cost_vector(model, c, level), beta)
+            cost = _control_rates(model, c, level, ("cost",))[1][0]
+            return evaluate_policy(gen, cost, beta)
         except InfeasibleBetaError:
             return None
 

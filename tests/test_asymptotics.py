@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qsdctl import asymptotics, policies
+from qsdctl import asymptotics, hjb, policies, qsd
 from qsdctl.asymptotics import (brute_force_control_opt,
                                 corollary_spot_check, limit_theorem_check,
                                 optimize_extinction_rate)
@@ -17,7 +19,7 @@ from qsdctl.generator import (_action_jumps, _control_assignments,
 from qsdctl.hjb import policy_iteration
 from qsdctl.models import (Action, ControlSet, HypothesisConstants,
                            ModelSpec, ProgenyDist)
-from qsdctl.qsd import _solve_qsd_stacked, solve_qsd
+from qsdctl.qsd import _BandedFactor, _solve_qsd_stacked, solve_qsd
 from qsdctl.simulate import SimConfig
 
 from oracles import brute_force_value_opt
@@ -116,6 +118,73 @@ class TestStackedEnumeration:
             np.testing.assert_array_equal(q.pi, res.pis[i])
             np.testing.assert_array_equal(q.eta, res.etas[i])
 
+    @settings(max_examples=40, deadline=None)
+    @given(blocks=st.integers(min_value=2, max_value=5),
+           n=st.integers(min_value=1, max_value=6),
+           k=st.integers(min_value=0, max_value=8),
+           shift=st.sampled_from([0.0, -0.3, 0.5, 2.0]),
+           seed=st.integers(min_value=0, max_value=2 ** 31))
+    @example(blocks=2, n=4, k=0, shift=0.0, seed=0)
+    @example(blocks=2, n=3, k=5, shift=-0.3, seed=1)
+    def test_stacked_factor_is_each_blocks_walk(self, blocks, n, k, shift,
+                                                seed):
+        # the stack's factor is the walk of each block alone, to the bit:
+        # pure death (k = 0), jumps past the block (k >= n) and positive
+        # shifts, where some blocks fail a pivot and the stack raises the
+        # first failure in stack order with its state numbered so
+        rng = np.random.default_rng(seed)
+        death = rng.uniform(0.1, 3.0, (blocks, n))
+        births = rng.uniform(0.0, 2.0, (blocks, n, k))
+        births[rng.random((blocks, n, k)) < 0.4] = 0.0
+        for j in range(1, k + 1):
+            births[:, max(n - j, 0):, j - 1] = 0.0   # no jump leaves a block
+        walks = []
+        for b in range(blocks):
+            try:
+                walks.append(_BandedFactor.from_band(death[b], births[b],
+                                                     shift))
+            except SolverError as e:
+                x = int(re.search(r"at state (\d+) ", str(e)).group(1))
+                with pytest.raises(SolverError) as err:
+                    _BandedFactor.from_band(death, births, shift)
+                assert str(err.value) == str(e).replace(
+                    f"at state {x} ", f"at state {b * n + x} ")
+                return
+        stack = _BandedFactor.from_band(death, births, shift)
+
+        def bits(a):
+            return np.ascontiguousarray(a).tobytes()
+        assert stack.norm == max(w.norm for w in walks)
+        assert stack.tops == [b * n + t for b, w in enumerate(walks)
+                              for t in w.tops]
+        for b, w in enumerate(walks):
+            cols = slice(b * n, (b + 1) * n)
+            assert bits(stack.norms[cols]) == bits(w.norms)
+            # L's last entry in a block couples it to the next: zero
+            assert bits(stack.lower[:, cols][:, :-1]) == bits(w.lower[:, :-1])
+            assert stack.lower[1, cols][-1] in (0.0, 1.0)
+            # row k - j of U holds U[x - j, x]: the first j columns of a
+            # block reach into the block below, and carry zero there
+            for j in range(k + 1):
+                assert bits(stack.upper[k - j, cols][j:]) == bits(
+                    w.upper[k - j, j:])
+                assert not stack.upper[k - j, cols][:j].any()
+
+    def test_stacked_factor_raises_the_first_failure_in_stack_order(self):
+        # block 0 fails at its state 3, block 1 at its state 1, which
+        # the block-parallel elimination meets first
+        death = np.array([[3.0, 3.0, 0.5], [0.25, 3.0, 3.0]])
+        with pytest.raises(SolverError,
+                           match=r"^pivot -5\.000e-01 at state 3 is"):
+            _BandedFactor.from_band(death, np.zeros((2, 3, 0)), 1.0)
+
+    def test_stacks_skip_the_state_by_state_walk(self, culling,
+                                                 monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a stack was eliminated state by state")
+        monkeypatch.setattr(qsd, "_eliminate", refuse)
+        assert brute_force_control_opt(culling, "max").count == 64
+
     def test_support_rule_fires(self):
         # births stop at state 3 under action 0: on the all-0 control the
         # class {1, 2} attains the rate and pi vanishes above it
@@ -182,7 +251,7 @@ class TestStackedEnumeration:
     def test_no_generator_per_control(self, culling, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("built or solved one control alone")
-        monkeypatch.setattr(asymptotics, "build_generator", refuse)
+        monkeypatch.setattr(asymptotics, "_control_generator", refuse)
         monkeypatch.setattr(asymptotics, "solve_qsd", refuse)
         assert brute_force_control_opt(culling, "max").count == 64
         assert limit_theorem_check(culling, "max").converged
@@ -317,6 +386,30 @@ class TestLimitTheorem:
         lam = CULLING_LAM_MAX if objective == "max" else CULLING_LAM_MIN
         assert chk.lam == pytest.approx(lam, abs=1e-9)
         assert np.all(chk.betas < chk.lam)
+
+    @pytest.mark.parametrize("objective", ["max", "min"])
+    def test_rungs_share_one_table(self, culling, objective, monkeypatch):
+        # one table of rates for the reference and every rung, and no
+        # generator solved twice across the rungs: the constant controls
+        # each rung starts from are solved at most once per ladder, and
+        # so is every iterate
+        tables, solved = [], []
+        action_table, solve = hjb._action_table, hjb.solve_qsd
+
+        def counted_table(*args):
+            tables.append(args)
+            return action_table(*args)
+
+        def counted_solve(gen, *args, **kwargs):
+            solved.append((gen.death.tobytes(), gen.births.tobytes()))
+            return solve(gen, *args, **kwargs)
+        monkeypatch.setattr(asymptotics, "_action_table", counted_table)
+        monkeypatch.setattr(hjb, "_action_table", counted_table)
+        monkeypatch.setattr(hjb, "solve_qsd", counted_solve)
+        chk = limit_theorem_check(culling, objective)
+        assert np.isfinite(chk.products).sum() > 1
+        assert len(tables) == 1
+        assert len(set(solved)) == len(solved)
 
     def test_other_start_state(self, culling):
         chk = limit_theorem_check(culling, "max", x=3)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,10 +7,11 @@ from hypothesis import strategies as st
 
 from qsdctl.errors import CapExceededError, ModelError
 from qsdctl.expressions import parse_rate_expression as rx
-from qsdctl.generator import (_action_jumps, _control_assignments, _matvec,
-                              _stacked_band, _vecmat, build_generator,
+from qsdctl.generator import (_control_assignments, _control_generator,
+                              _control_rates, _matvec, _stacked_band,
+                              _vecmat, build_generator,
                               enumerate_markov_controls)
-from qsdctl.hjb import hjb_residual, policy_iteration
+from qsdctl.hjb import _action_table, hjb_residual, policy_iteration
 from qsdctl.models import (Action, ControlSet, HypothesisConstants,
                            MarkovControl, ModelSpec, ProgenyDist)
 from qsdctl.qsd import solve_qsd, survival_profile
@@ -126,19 +129,30 @@ class TestBandedProducts:
         # A v and p A on a control's band are the products with its
         # dense matrix up to rounding, and each block of the stacked band
         # of all controls (full width, so zero columns where a control's
-        # own band is narrower) gives its control's products to the bit
-        model = _random_model(actions, k_max, level, seed)
+        # own band is narrower) gives its control's products to the bit.
+        # A control's band and cost gathered from the action table are
+        # build_generator's and _control_rates's to the bit; the cost
+        # moves with the state and the action
+        model = dataclasses.replace(_random_model(actions, k_max, level, seed),
+                                    cost=rx("sb * n^pd + sd"))
+        table = _action_table(model, level)
         count = actions ** level
         rng = np.random.default_rng(seed)
         v, p = rng.standard_normal((2, count, level))
         death, births = _stacked_band(
-            _action_jumps(model, level),
-            _control_assignments(actions, level, 0, count))
+            table.jumps, _control_assignments(actions, level, 0, count))
         right, left = _matvec(death, births, v), _vecmat(death, births, p)
         eps = np.finfo(float).eps
         controls = list(enumerate_markov_controls(model, level))
         for i in rng.choice(count, size=min(count, 8), replace=False):
             gen = build_generator(model, controls[i], level)
+            gathered = _control_generator(table.jumps, controls[i].assignment)
+            for built, got in ((gen.death, gathered.death),
+                               (gen.births, gathered.births)):
+                assert got.shape == built.shape
+                assert got.tobytes() == built.tobytes()
+            cost = _control_rates(model, controls[i], level, ("cost",))[1][0]
+            assert table.cost(controls[i]).tobytes() == cost.tobytes()
             a = gen.active
             av = _matvec(gen.death, gen.births, v[i])
             pa = _vecmat(gen.death, gen.births, p[i])

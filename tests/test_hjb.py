@@ -11,7 +11,7 @@ from qsdctl.errors import (InfeasibleBetaError, MathematicalRefusal,
 from qsdctl.generator import build_generator
 from qsdctl.hjb import (evaluate_policy, hjb_residual, improve_policy,
                         policy_iteration, verify_transversality)
-from qsdctl.models import Action, MarkovControl
+from qsdctl.models import Action, MarkovControl, ModelSpec
 from qsdctl.qsd import _BandedFactor, solve_qsd
 
 from test_models import make_model
@@ -154,19 +154,29 @@ class TestOptimality:
                           for x in range(1, level + 1)])
             assert sol.sup_bound == float(np.max(bound)) * float(np.max(f))
 
-    def test_one_cost_vector_per_evaluation(self, culling, monkeypatch):
-        # the bound reads the final evaluation's cost vector, not a new one
+    def test_each_formula_evaluated_once_per_action(self, culling,
+                                                    monkeypatch):
+        # every iterate's generator and cost, the bound's included, are
+        # gathered from the one table: cost, birth and death once per
+        # action, and no generator built from the formulas
         calls = []
-        cost_vector = hjb._cost_vector
+        vector = ModelSpec._vector
 
         def counted(*args):
             calls.append(args)
-            return cost_vector(*args)
-        monkeypatch.setattr(hjb, "_cost_vector", counted)
+            return vector(*args)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a generator was built from the formulas")
+        monkeypatch.setattr(ModelSpec, "_vector", counted)
+        monkeypatch.setattr(hjb, "build_generator", refuse)
+        sweeps = []
         for mode in ("min", "max"):
             calls.clear()
-            sol = policy_iteration(culling, 0.3, mode)
-            assert len(calls) == len(sol.trace.records)
+            sweeps.append(len(policy_iteration(culling, 0.3, mode)
+                              .trace.records))
+            assert len(calls) == 3 * culling.num_actions
+        assert max(sweeps) > 1
 
     def test_one_action_table_per_iteration(self, culling, monkeypatch):
         # every sweep and the final residual read one table of rates
